@@ -41,6 +41,28 @@ def tan_table(L: int) -> np.ndarray:
     return np.tan(np.arange(L) * math.pi / L)
 
 
+def domino_weights(L: int, variant: str, w: float) -> np.ndarray:
+    """Weight of the domino on <d, d-1> for every start position d in [L].
+
+    Variant A gives -(1 - i w t(d)) (1 + i w t(d-1)); variant B the constant
+    -(1 - w) (1 + w).
+    """
+    if variant == "B":
+        return np.full(L, -(1.0 - w) * (1.0 + w), dtype=complex)
+    if variant != "A":
+        raise ValueError(f"variant must be 'A' or 'B', got {variant!r}")
+    t = tan_table(L)
+    return -(1.0 - 1j * w * t) * (1.0 + 1j * w * np.roll(t, 1))
+
+
+def combinations_array(L: int, k: int) -> np.ndarray:
+    """Every k-subset of [L] as one row of a (binom(L, k), k) array, in itertools order."""
+    count = math.comb(L, k)
+    flat = itertools.chain.from_iterable(itertools.combinations(range(L), k))
+    dtype = np.min_scalar_type(L - 1)
+    return np.fromiter(flat, dtype=dtype, count=count * k).reshape(count, k)
+
+
 @dataclass(frozen=True)
 class Tiling:
     """Cover of L cyclic positions by squares and dominos.
@@ -82,24 +104,28 @@ class Tiling:
         return 0 in self.dominoes
 
 
+def _tiling_bits(L: int, wrap: bool) -> np.ndarray:
+    # (tilings, L) boolean matrix, one row per valid domino bitmask in
+    # increasing order: bit d marks a domino on <d, d-1>, two dominos overlap
+    # exactly when bits d and d+1 (mod L) are both set, and the line forbids bit 0
+    masks = np.arange(1 << L, dtype=np.int64)
+    rotated = ((masks << 1) | (masks >> (L - 1))) & ((1 << L) - 1)
+    valid = (masks & rotated) == 0
+    if not wrap:
+        valid &= (masks & 1) == 0
+    return ((masks[valid, None] >> np.arange(L)) & 1).astype(bool)
+
+
 def enumerate_tilings(L: int, wrap: bool) -> list:
     """All tilings of the L-star (wrap=True) or the cut-open L-line (wrap=False).
 
-    Exhaustive and duplicate-free, in a deterministic order.  The line
-    variant forbids the domino covering <0, L-1>.
+    Exhaustive and duplicate-free, in increasing order of the domino bitmask.
+    The line variant forbids the domino covering <0, L-1>.
     """
     if L % 2 == 0 or not 3 <= L <= MAX_ENUM_L:
         raise ValueError(f"enumeration supports odd L in 3..{MAX_ENUM_L}, got {L}")
-    full = (1 << L) - 1
-    out = []
-    for mask in range(1 << L):
-        if not wrap and mask & 1:
-            continue
-        rotated = ((mask << 1) | (mask >> (L - 1))) & full
-        if mask & rotated:
-            continue
-        out.append(Tiling(L=L, dominoes=frozenset(i for i in range(L) if mask >> i & 1)))
-    return out
+    bits = _tiling_bits(L, wrap)
+    return [Tiling(L=L, dominoes=frozenset(np.flatnonzero(row).tolist())) for row in bits]
 
 
 @dataclass(frozen=True)
@@ -123,15 +149,12 @@ class WeightModel:
 
 def tiling_weight(tiling: Tiling, model: WeightModel) -> complex:
     """Product of the piece weights of ``tiling`` under ``model``."""
-    t = tan_table(tiling.L)
+    dom = domino_weights(tiling.L, model.variant, model.w)
     out = complex(1.0)
     for p in tiling.squares:
         out *= model.x if (model.modified and p == 0) else 2.0 * model.x
     for d in tiling.dominoes:
-        if model.variant == "A":
-            out *= -(1.0 - 1j * model.w * t[d]) * (1.0 + 1j * model.w * t[(d - 1) % tiling.L])
-        else:
-            out *= -(1.0 - model.w) * (1.0 + model.w)
+        out *= dom[d]
     return out
 
 
@@ -142,18 +165,27 @@ def _check_weight_args(L: int, gamma: float) -> None:
         raise ValueError(f"gamma must be in (0, 1], got {gamma}")
 
 
+def _total_weight(L: int, gamma: float, x: float, wrap: bool) -> complex:
+    # the variant-A weight of every tiling at once: (2x)^{n_sq} times the
+    # weights of its dominos, with the square at position 0 of the line
+    # (free exactly when no domino sits at 1) weighing x instead of 2x
+    _check_weight_args(L, gamma)
+    bits = _tiling_bits(L, wrap)
+    dom = domino_weights(L, "A", math.sqrt(1.0 - gamma * gamma))
+    squares = (2.0 * x) ** (L - 2 * np.count_nonzero(bits, axis=1))
+    if not wrap:
+        squares[~bits[:, 1]] *= 0.5
+    return complex(np.sum(squares * np.prod(np.where(bits, dom, 1.0), axis=1)))
+
+
 def total_star_weight(L: int, gamma: float, x: float) -> complex:
     """Sum of all L-star tiling weights; equals 2 N_L(x)."""
-    _check_weight_args(L, gamma)
-    model = WeightModel(variant="A", w=math.sqrt(1.0 - gamma * gamma), x=x)
-    return sum(tiling_weight(t, model) for t in enumerate_tilings(L, wrap=True))
+    return _total_weight(L, gamma, x, wrap=True)
 
 
 def total_line_weight(L: int, gamma: float, x: float) -> complex:
     """Sum of all modified (cut-open line) tiling weights; equals N_L(x)."""
-    _check_weight_args(L, gamma)
-    model = WeightModel(variant="A", w=math.sqrt(1.0 - gamma * gamma), x=x, modified=True)
-    return sum(tiling_weight(t, model) for t in enumerate_tilings(L, wrap=False))
+    return _total_weight(L, gamma, x, wrap=False)
 
 
 def n_poly_value(L: int, gamma: float, x: float) -> complex:
@@ -164,15 +196,12 @@ def n_poly_value(L: int, gamma: float, x: float) -> complex:
 def _variant_sum(tilings, L: int, variant: str, w: float, n_s: int) -> complex:
     # square weights contribute (2x)^{n_s} with x = 1; w is a formal variable
     # here, so no range restriction applies
-    t = tan_table(L)
+    dom = domino_weights(L, variant, w)
     total = 0j
     for tiling in tilings:
         piece = complex(2.0**n_s)
         for d in tiling.dominoes:
-            if variant == "A":
-                piece *= -(1.0 - 1j * w * t[d]) * (1.0 + 1j * w * t[(d - 1) % L])
-            else:
-                piece *= -(1.0 - w) * (1.0 + w)
+            piece *= dom[d]
         total += piece
     return total
 
@@ -253,25 +282,51 @@ def coefficient_compare(L: int, n_s: int, method: str = "nodes") -> CoefficientR
     )
 
 
-def _check_subset(L: int, subset) -> list:
-    idx = [int(v) for v in subset]
-    if len(idx) != len(set(idx)):
-        raise ValueError("subset entries must be distinct")
-    if not 1 <= len(idx) <= L:
-        raise ValueError(f"subset size must be in 1..{L}, got {len(idx)}")
-    if any(v < 0 or v >= L for v in idx):
+def _check_subsets(L: int, subsets) -> np.ndarray:
+    # one subset (1-D) or a batch of equal-size subsets (2-D, one per row)
+    if not isinstance(subsets, (np.ndarray, list, tuple)):
+        subsets = list(subsets)
+    try:
+        arr = np.asarray(subsets)
+        ints = arr.astype(np.int64)
+    except (TypeError, ValueError) as exc:
+        raise ValueError("subsets must form a rectangular (S, k) array of integers") from exc
+    if arr.dtype.kind not in "iu" and not np.array_equal(ints, arr):
+        raise ValueError("subset entries must be integers")
+    arr = ints
+    if arr.ndim not in (1, 2):
+        raise ValueError(f"subsets must be 1-D or 2-D, got {arr.ndim} dimensions")
+    k = arr.shape[-1]
+    if not 1 <= k <= L:
+        raise ValueError(f"subset size must be in 1..{L}, got {k}")
+    rows = arr.reshape(-1, k)
+    if np.any((rows < 0) | (rows >= L)):
         raise ValueError(f"subset entries must lie in [0, {L})")
-    return idx
+    ordered = np.sort(rows, axis=1)
+    if np.any(ordered[:, 1:] == ordered[:, :-1]):
+        raise ValueError("subset entries must be distinct")
+    return arr
 
 
-def tangent_sum_terms(L: int, subset) -> np.ndarray:
-    """The L shift products prod_m i tan((l_m + j) pi / L), one per j in [L]."""
+def tangent_sum_terms(L: int, subsets) -> np.ndarray:
+    """The L shift products prod_m i tan((l_m + j) pi / L), one per j in [L].
+
+    ``subsets`` is one subset {l_m} (any integer sequence), giving an (L,)
+    array, or an (S, k) integer array of S subsets of equal size k, giving
+    an (S, L) array whose row s holds the shift products of subset s.  One
+    tangent table serves the whole batch, and the products are taken one
+    subset column at a time, so temporaries stay O(S L).
+    """
     if L % 2 == 0 or not 3 <= L <= MAX_TANGENT_L:
         raise ValueError(f"tangent sums support odd L in 3..{MAX_TANGENT_L}, got {L}")
-    idx = _check_subset(L, subset)
-    t = tan_table(L)
-    grid = (np.asarray(idx, dtype=int)[None, :] + np.arange(L)[:, None]) % L
-    return np.prod(1j * t[grid], axis=1)
+    idx = _check_subsets(L, subsets)
+    rows = idx.reshape(-1, idx.shape[-1])
+    t = 1j * tan_table(L)
+    shifts = np.arange(L)
+    out = np.ones((rows.shape[0], L), dtype=complex)
+    for column in rows.T:
+        out *= t[(column[:, None] + shifts) % L]
+    return out if idx.ndim == 2 else out[0]
 
 
 def tangent_sum(L: int, subset) -> complex:
@@ -291,7 +346,10 @@ def vieta_terms(L: int, k: int) -> np.ndarray:
     if not 0 <= k <= L:
         raise ValueError(f"k must be in 0..{L}, got {k}")
     t = 1j * tan_table(L)
-    return np.array([np.prod(t[list(comb)]) for comb in itertools.combinations(range(L), k)])
+    out = np.ones(math.comb(L, k), dtype=complex)
+    for column in combinations_array(L, k).T:
+        out *= t[column]
+    return out
 
 
 def vieta_sum(L: int, k: int) -> complex:

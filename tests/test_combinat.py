@@ -86,6 +86,20 @@ class TestEnumeration:
             with pytest.raises(ValueError):
                 enumerate_tilings(L, wrap=True)
 
+    def test_matches_per_mask_loop(self):
+        # reference: test every domino bitmask in increasing order, one at a time
+        for L in range(3, 16, 2):
+            full = (1 << L) - 1
+            for wrap in (True, False):
+                expected = []
+                for mask in range(1 << L):
+                    if not wrap and mask & 1:
+                        continue
+                    if mask & (((mask << 1) | (mask >> (L - 1))) & full):
+                        continue
+                    expected.append(Tiling(L=L, dominoes=frozenset(i for i in range(L) if mask >> i & 1)))
+                assert enumerate_tilings(L, wrap=wrap) == expected
+
 
 class TestTilingWeight:
     def test_all_squares(self):
@@ -150,6 +164,19 @@ class TestWeightTotals:
 
     def test_line_odd_in_x(self):
         assert abs(total_line_weight(3, 0.7, 0.0)) <= 1e-12
+
+    def test_totals_match_per_tiling_sum(self):
+        # only the summation order differs from adding tiling_weight one tiling at a time,
+        # so the gap is bounded relative to the summed magnitudes, not to the (cancelling) total
+        for L in range(3, 12, 2):
+            for gamma in (0.3, 0.7, 1.0):
+                w = math.sqrt(1.0 - gamma * gamma)
+                for x in (-0.6, 0.2, 0.5, 1.0):
+                    for total, wrap in ((total_star_weight, True), (total_line_weight, False)):
+                        model = WeightModel(variant="A", w=w, x=x, modified=not wrap)
+                        weights = [tiling_weight(t, model) for t in enumerate_tilings(L, wrap=wrap)]
+                        scale = sum(abs(v) for v in weights)
+                        assert abs(total(L, gamma, x) - sum(weights)) <= 1e-12 * scale
 
     def test_grid_against_numerator(self):
         for L in (3, 5, 7, 9, 11):
@@ -230,6 +257,34 @@ class TestTangentSum:
         with pytest.raises(ValueError):
             tangent_sum(5, (0, 5))
 
+    def test_rejects_fractional_entries(self):
+        with pytest.raises(ValueError):
+            tangent_sum(5, (0.5, 2))
+
+    def test_batch_rejects_duplicates(self):
+        with pytest.raises(ValueError):
+            tangent_sum_terms(5, np.array([[0, 1], [2, 2]]))
+
+    def test_batch_rejects_out_of_range(self):
+        for bad in ([[0, 1], [4, 5]], [[0, 1], [-1, 2]]):
+            with pytest.raises(ValueError):
+                tangent_sum_terms(5, np.array(bad))
+
+    def test_batch_rejects_malformed_input(self):
+        for bad in ([[0, 1], [2]], np.zeros((2, 2, 2), dtype=int), np.zeros((3, 0), dtype=int), [[0.5, 1.0]]):
+            with pytest.raises(ValueError):
+                tangent_sum_terms(5, bad)
+
+    def test_batch_rows_match_single_calls(self):
+        rng = np.random.default_rng(11)
+        for L in (3, 9, 25):
+            for k in (1, 2, L // 2, L):
+                batch = np.array([rng.choice(L, size=k, replace=False) for _ in range(7)])
+                terms = tangent_sum_terms(L, batch)
+                assert terms.shape == (7, L)
+                for row, subset in zip(terms, batch):
+                    assert np.array_equal(row, tangent_sum_terms(L, list(subset)))
+
     def test_identity_exhaustive_small(self):
         for L in (3, 5, 7):
             for k in range(1, L + 1):
@@ -272,6 +327,13 @@ class TestVietaSum:
                 expected = math.comb(L, k) if k % 2 == 0 else 0.0
                 scale = max(1.0, float(np.sum(np.abs(terms))))
                 assert abs(terms.sum() - expected) / scale <= 1e-6
+
+    def test_terms_match_per_combination_product(self):
+        for L in range(3, 12, 2):
+            t = 1j * np.tan(np.arange(L) * math.pi / L)
+            for k in range(L + 1):
+                ref = np.array([np.prod(t[list(comb)]) for comb in combinations(range(L), k)])
+                np.testing.assert_allclose(vieta_terms(L, k), ref, rtol=1e-14, atol=0.0)
 
     def test_domain(self):
         with pytest.raises(ValueError):
