@@ -6,111 +6,20 @@ simulation both in the two-dimensional invariant subspace and on the full
 tiling and tangent-sum identities the guarantee rests on.
 """
 
-from .combinat import (
-    CoefficientReport,
-    Tiling,
-    WeightModel,
-    coefficient_compare,
-    enumerate_tilings,
-    reflect,
-    rotation_orbit,
-    star_line_bijection_holds,
-    tangent_sum,
-    tangent_sum_terms,
-    tiling_weight,
-    total_line_weight,
-    total_star_weight,
-    vieta_sum,
-    vieta_terms,
-)
-from .complexpoly import (
-    QuasiChebParams,
-    chebyshev_T,
-    d_product,
-    n_poly_coeffs,
-    phi_angle,
-    quasi_cheb_closed,
-    quasi_cheb_coeffs,
-    quasi_cheb_recursive,
-)
-from .schedule import (
-    AngleSchedule,
-    SearchParams,
-    arccot,
-    make_schedule,
-    min_iterations,
-    schedule_for,
-)
-from .sim2d import (
-    OverlapX,
-    TwoDimState,
-    classic_grover_optimal,
-    failure_amplitude_recursion,
-    iteration_G,
-    rotation_R,
-    run_search,
-    success_probability_closed,
-)
-from .statevector import (
-    FullSearchResult,
-    MarkedSet,
-    StateVector,
-    apply_init_phase,
-    apply_marked_phase,
-    apply_marked_phase_via_oracle,
-    init_uniform,
-    run_full_search,
-)
-from .verify import CheckResult, run_verification
+from .complexpoly import chebyshev_T
+from .schedule import SearchParams, make_schedule, schedule_for
+from .sim2d import run_search, success_probability_closed
+from .statevector import MarkedSet, run_full_search
 
 __version__ = "0.1.0"
 
 __all__ = [
-    "AngleSchedule",
-    "CheckResult",
-    "CoefficientReport",
-    "FullSearchResult",
     "MarkedSet",
-    "OverlapX",
-    "QuasiChebParams",
     "SearchParams",
-    "StateVector",
-    "Tiling",
-    "TwoDimState",
-    "WeightModel",
-    "apply_init_phase",
-    "apply_marked_phase",
-    "apply_marked_phase_via_oracle",
-    "arccot",
     "chebyshev_T",
-    "classic_grover_optimal",
-    "coefficient_compare",
-    "d_product",
-    "enumerate_tilings",
-    "failure_amplitude_recursion",
-    "init_uniform",
-    "iteration_G",
     "make_schedule",
-    "min_iterations",
-    "n_poly_coeffs",
-    "phi_angle",
-    "quasi_cheb_closed",
-    "quasi_cheb_coeffs",
-    "quasi_cheb_recursive",
-    "reflect",
-    "rotation_R",
-    "rotation_orbit",
     "run_full_search",
     "run_search",
-    "run_verification",
     "schedule_for",
-    "star_line_bijection_holds",
     "success_probability_closed",
-    "tangent_sum",
-    "tangent_sum_terms",
-    "tiling_weight",
-    "total_line_weight",
-    "total_star_weight",
-    "vieta_sum",
-    "vieta_terms",
 ]

@@ -4,7 +4,13 @@ Subcommands: ``angles`` (emit a schedule), ``sweep`` (success amplitude over a
 lambda grid), ``simulate`` (single lambda), ``statevector`` (full-register
 run), ``verify`` (invariant suite).  Output goes to stdout or ``--output``;
 identical flags produce byte-identical output.  Exit codes: 0 success,
-1 verification failure, 2 usage error, 3 I/O error.
+1 verification failure (a failed ``verify`` check, or a ``sweep`` or
+``simulate`` sim-vs-closed gap above 1e-9), 2 usage error, 3 I/O error.
+
+Range checks on the inputs live in the library.  This module checks only what
+the library never sees (format, lambda grid, flag combinations, the marked
+set's parsing and sampling, the register size) and turns every ``ValueError``
+into ``error: <msg>`` with exit code 2.
 """
 
 from __future__ import annotations
@@ -25,9 +31,7 @@ EXIT_VERIFY_FAILED = 1
 EXIT_USAGE = 2
 EXIT_IO = 3
 
-
-class UsageError(Exception):
-    pass
+SIM_CLOSED_TOL = 1e-9
 
 
 def _fmt(value: float) -> str:
@@ -49,24 +53,29 @@ def _json_text(payload) -> str:
 def _require_format(args, allowed) -> str:
     fmt = args.format or allowed[0]
     if fmt not in allowed:
-        raise UsageError(f"format {fmt!r} is not supported by this subcommand (expected {'/'.join(allowed)})")
+        raise ValueError(f"format {fmt!r} is not supported by this subcommand (expected {'/'.join(allowed)})")
     return fmt
 
 
 def _schedule_from_args(args):
-    if not 0.0 < args.w < 1.0:
-        raise UsageError(f"w must be in (0, 1), got {args.w}")
     delta = getattr(args, "delta", None)
-    if delta is not None and not 0.0 < delta < 1.0:
-        raise UsageError(f"delta must be in (0, 1), got {delta}")
     l = getattr(args, "l", None)
-    if l is None:
-        if delta is None:
-            raise UsageError("either --delta or --l is required")
-        l = min_iterations(SearchParams(w=args.w, delta=delta))
-    elif l < 1:
-        raise UsageError(f"l must be a positive integer, got {l}")
+    if delta is not None:
+        params = SearchParams(w=args.w, delta=delta)
+        if l is None:
+            l = min_iterations(params)
+    elif l is None:
+        raise ValueError("either --delta or --l is required")
     return make_schedule(args.w, l, delta=delta)
+
+
+def _gap_exit(errors) -> int:
+    # written as "not <=" so that a NaN gap fails too
+    bad = sum(1 for err in errors if not err <= SIM_CLOSED_TOL)
+    if not bad:
+        return EXIT_OK
+    print(f"FAILED sim_vs_closed: {bad} of {len(errors)} abs_err above {SIM_CLOSED_TOL:g}", file=sys.stderr)
+    return EXIT_VERIFY_FAILED
 
 
 def cmd_angles(args) -> int:
@@ -78,11 +87,11 @@ def cmd_angles(args) -> int:
 
 def _sweep_rows(args, sched):
     if not 0.0 <= args.lambda_min < args.lambda_max <= 1.0:
-        raise UsageError(
+        raise ValueError(
             f"need 0 <= lambda-min < lambda-max <= 1, got [{args.lambda_min}, {args.lambda_max}]"
         )
     if not 2 <= args.points <= 1_000_000:
-        raise UsageError(f"points must be in 2..1000000, got {args.points}")
+        raise ValueError(f"points must be in 2..1000000, got {args.points}")
     rows = []
     for lam in np.linspace(args.lambda_min, args.lambda_max, args.points):
         overlap = OverlapX.from_lambda(float(lam))
@@ -111,13 +120,11 @@ def cmd_sweep(args) -> int:
         print(f"min P over lambda >= w={_fmt(sched.w)}: {_fmt(min(guaranteed))}", file=sys.stderr)
     else:
         print(f"no grid points with lambda >= w={_fmt(sched.w)}", file=sys.stderr)
-    return EXIT_OK
+    return _gap_exit([row[3] for row in rows])
 
 
 def cmd_simulate(args) -> int:
     _require_format(args, ("json",))
-    if not 0.0 <= args.lam <= 1.0:
-        raise UsageError(f"lambda must be in [0, 1], got {args.lam}")
     sched = _schedule_from_args(args)
     overlap = OverlapX.from_lambda(args.lam)
     p_sim = abs(run_search(overlap.x, sched).t_amp)
@@ -132,18 +139,17 @@ def cmd_simulate(args) -> int:
         "abs_err": abs(p_sim - p_closed),
     }
     _emit(_json_text(payload), args.output)
-    return EXIT_OK
+    return _gap_exit([payload["abs_err"]])
 
 
 def _parse_marked(args, dim: int):
     if args.marked is not None:
         try:
-            indices = tuple(int(part) for part in args.marked.split(","))
+            return tuple(int(part) for part in args.marked.split(","))
         except ValueError as exc:
-            raise UsageError(f"--marked must be a comma-separated integer list: {exc}") from exc
-        return indices
+            raise ValueError(f"--marked must be a comma-separated integer list: {exc}") from exc
     if not 1 <= args.marked_count < dim:
-        raise UsageError(f"--marked-count must be in 1..{dim - 1}, got {args.marked_count}")
+        raise ValueError(f"--marked-count must be in 1..{dim - 1}, got {args.marked_count}")
     rng = np.random.default_rng(args.seed)
     return tuple(int(i) for i in rng.choice(dim, size=args.marked_count, replace=False))
 
@@ -151,12 +157,8 @@ def _parse_marked(args, dim: int):
 def cmd_statevector(args) -> int:
     _require_format(args, ("json",))
     if not 1 <= args.qubits <= MAX_QUBITS:
-        raise UsageError(f"--qubits must be in 1..{MAX_QUBITS}, got {args.qubits}")
-    dim = 1 << args.qubits
-    try:
-        marked = MarkedSet(indices=_parse_marked(args, dim), n_qubits=args.qubits)
-    except ValueError as exc:
-        raise UsageError(str(exc)) from exc
+        raise ValueError(f"--qubits must be in 1..{MAX_QUBITS}, got {args.qubits}")
+    marked = MarkedSet(indices=_parse_marked(args, 1 << args.qubits), n_qubits=args.qubits)
     sched = _schedule_from_args(args)
     result = run_full_search(args.qubits, marked, sched)
     payload = {
@@ -172,10 +174,6 @@ def cmd_statevector(args) -> int:
 
 def cmd_verify(args) -> int:
     _require_format(args, ("json",))
-    if args.max_L % 2 == 0:
-        raise UsageError(f"--max-L must be odd, got {args.max_L}")
-    if not 3 <= args.max_L <= 25:
-        raise UsageError(f"--max-L must lie in 3..25, got {args.max_L}")
     results = run_verification(max_L=args.max_L, seed=args.seed)
     _emit(_json_text([r.to_dict() for r in results]), args.output)
     failed = [r for r in results if not r.passed]
@@ -245,7 +243,7 @@ def main(argv=None) -> int:
         return EXIT_USAGE if exc.code else EXIT_OK
     try:
         return args.handler(args)
-    except UsageError as exc:
+    except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     except OSError as exc:

@@ -25,7 +25,7 @@ from dataclasses import dataclass
 import numpy as np
 from numpy.polynomial import polynomial as npoly
 
-from .complexpoly import QuasiChebParams, n_poly_coeffs
+from .complexpoly import QuasiChebParams, check_gamma, n_poly_coeffs
 
 MAX_ENUM_L = 15
 MAX_WEIGHT_L = 13
@@ -34,6 +34,16 @@ MAX_TANGENT_L = 25
 MAX_VIETA_L = 15
 
 COEFF_TOL = 1e-8
+
+
+def _check_L(L: int, cap: int, what: str) -> None:
+    if L % 2 == 0 or not 3 <= L <= cap:
+        raise ValueError(f"{what} supports odd L in 3..{cap}, got {L}")
+
+
+def _check_variant(variant: str) -> None:
+    if variant not in ("A", "B"):
+        raise ValueError(f"variant must be 'A' or 'B', got {variant!r}")
 
 
 def tan_table(L: int) -> np.ndarray:
@@ -47,10 +57,9 @@ def domino_weights(L: int, variant: str, w: float) -> np.ndarray:
     Variant A gives -(1 - i w t(d)) (1 + i w t(d-1)); variant B the constant
     -(1 - w) (1 + w).
     """
+    _check_variant(variant)
     if variant == "B":
         return np.full(L, -(1.0 - w) * (1.0 + w), dtype=complex)
-    if variant != "A":
-        raise ValueError(f"variant must be 'A' or 'B', got {variant!r}")
     t = tan_table(L)
     return -(1.0 - 1j * w * t) * (1.0 + 1j * w * np.roll(t, 1))
 
@@ -122,8 +131,7 @@ def enumerate_tilings(L: int, wrap: bool) -> list:
     Exhaustive and duplicate-free, in increasing order of the domino bitmask.
     The line variant forbids the domino covering <0, L-1>.
     """
-    if L % 2 == 0 or not 3 <= L <= MAX_ENUM_L:
-        raise ValueError(f"enumeration supports odd L in 3..{MAX_ENUM_L}, got {L}")
+    _check_L(L, MAX_ENUM_L, "enumeration")
     bits = _tiling_bits(L, wrap)
     return [Tiling(L=L, dominoes=frozenset(np.flatnonzero(row).tolist())) for row in bits]
 
@@ -143,8 +151,7 @@ class WeightModel:
     modified: bool = False
 
     def __post_init__(self):
-        if self.variant not in ("A", "B"):
-            raise ValueError(f"variant must be 'A' or 'B', got {self.variant!r}")
+        _check_variant(self.variant)
 
 
 def tiling_weight(tiling: Tiling, model: WeightModel) -> complex:
@@ -158,18 +165,12 @@ def tiling_weight(tiling: Tiling, model: WeightModel) -> complex:
     return out
 
 
-def _check_weight_args(L: int, gamma: float) -> None:
-    if L % 2 == 0 or not 3 <= L <= MAX_WEIGHT_L:
-        raise ValueError(f"weight totals support odd L in 3..{MAX_WEIGHT_L}, got {L}")
-    if not 0.0 < gamma <= 1.0:
-        raise ValueError(f"gamma must be in (0, 1], got {gamma}")
-
-
 def _total_weight(L: int, gamma: float, x: float, wrap: bool) -> complex:
     # the variant-A weight of every tiling at once: (2x)^{n_sq} times the
     # weights of its dominos, with the square at position 0 of the line
     # (free exactly when no domino sits at 1) weighing x instead of 2x
-    _check_weight_args(L, gamma)
+    _check_L(L, MAX_WEIGHT_L, "the weight total")
+    check_gamma(gamma)
     bits = _tiling_bits(L, wrap)
     dom = domino_weights(L, "A", math.sqrt(1.0 - gamma * gamma))
     squares = (2.0 * x) ** (L - 2 * np.count_nonzero(bits, axis=1))
@@ -256,8 +257,7 @@ def coefficient_compare(L: int, n_s: int, method: str = "nodes") -> CoefficientR
     evaluation plus a Vandermonde solve ("nodes", default) or by direct
     expansion of the linear factors ("product", the cross-check).
     """
-    if L % 2 == 0 or not 3 <= L <= MAX_COMPARE_L:
-        raise ValueError(f"coefficient comparison supports odd L in 3..{MAX_COMPARE_L}, got {L}")
+    _check_L(L, MAX_COMPARE_L, "coefficient comparison")
     if n_s < 1 or n_s > L or (L - n_s) % 2:
         raise ValueError(f"n_s must be one of {{L, L-2, ..., 1}}, got {n_s}")
     if method not in ("nodes", "product"):
@@ -317,8 +317,7 @@ def tangent_sum_terms(L: int, subsets) -> np.ndarray:
     tangent table serves the whole batch, and the products are taken one
     subset column at a time, so temporaries stay O(S L).
     """
-    if L % 2 == 0 or not 3 <= L <= MAX_TANGENT_L:
-        raise ValueError(f"tangent sums support odd L in 3..{MAX_TANGENT_L}, got {L}")
+    _check_L(L, MAX_TANGENT_L, "the tangent sum")
     idx = _check_subsets(L, subsets)
     rows = idx.reshape(-1, idx.shape[-1])
     t = 1j * tan_table(L)
@@ -341,8 +340,7 @@ def tangent_sum(L: int, subset) -> complex:
 
 def vieta_terms(L: int, k: int) -> np.ndarray:
     """Products prod i tan(d pi / L) over every k-subset of [L]."""
-    if L % 2 == 0 or not 3 <= L <= MAX_VIETA_L:
-        raise ValueError(f"subset sums support odd L in 3..{MAX_VIETA_L}, got {L}")
+    _check_L(L, MAX_VIETA_L, "the subset sum")
     if not 0 <= k <= L:
         raise ValueError(f"k must be in 0..{L}, got {k}")
     t = 1j * tan_table(L)

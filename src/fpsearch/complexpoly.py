@@ -26,6 +26,12 @@ COEFF_MAX_DEGREE = 41
 EVAL_MAX_DEGREE = 100_000
 
 
+def check_gamma(gamma: float) -> None:
+    """Reject gamma = sqrt(1 - w^2) outside (0, 1]."""
+    if not 0.0 < gamma <= 1.0:
+        raise ValueError(f"gamma must be in (0, 1], got {gamma}")
+
+
 @dataclass(frozen=True)
 class QuasiChebParams:
     """Parameters of the twisted recursion: gamma in (0, 1] and odd degree L."""
@@ -34,8 +40,7 @@ class QuasiChebParams:
     L: int
 
     def __post_init__(self):
-        if not 0.0 < self.gamma <= 1.0:
-            raise ValueError(f"gamma must be in (0, 1], got {self.gamma}")
+        check_gamma(self.gamma)
         if self.L < 1 or self.L % 2 == 0:
             raise ValueError(f"L must be a positive odd integer, got {self.L}")
 
@@ -123,15 +128,17 @@ def _raised(coeffs: np.ndarray) -> np.ndarray:
     return out
 
 
+def _check_coeff_degree(L: int) -> None:
+    if L > COEFF_MAX_DEGREE:
+        raise ValueError(f"coefficient extraction capped at L <= {COEFF_MAX_DEGREE}, got {L}")
+
+
 def quasi_cheb_coeffs(params: QuasiChebParams) -> np.ndarray:
     """Complex coefficient vector (index = degree) of the degree-L recursion.
 
     Even-degree coefficients vanish up to roundoff: the polynomial is odd.
     """
-    if params.L > COEFF_MAX_DEGREE:
-        raise ValueError(
-            f"coefficient extraction capped at L <= {COEFF_MAX_DEGREE}, got {params.L}"
-        )
+    _check_coeff_degree(params.L)
     L = params.L
     a_prev = np.zeros(L + 1, dtype=complex)
     a_prev[0] = 1.0
@@ -150,10 +157,7 @@ def n_poly_coeffs(params: QuasiChebParams) -> np.ndarray:
     once the imaginary parts cancel this equals gamma^L T_L(x/gamma)
     coefficientwise.
     """
-    if params.L > COEFF_MAX_DEGREE:
-        raise ValueError(
-            f"coefficient extraction capped at L <= {COEFF_MAX_DEGREE}, got {params.L}"
-        )
+    _check_coeff_degree(params.L)
     L = params.L
     n_prev = np.zeros(L + 1, dtype=complex)
     n_prev[0] = 1.0

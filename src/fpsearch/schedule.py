@@ -23,6 +23,19 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .complexpoly import EVAL_MAX_DEGREE
+
+# the largest l whose degree L = 2l + 1 chebyshev_T still evaluates
+MAX_ITERATIONS = (EVAL_MAX_DEGREE - 1) // 2
+
+
+def check_w_l(w: float, l: int | None = None) -> None:
+    """Reject w outside (0, 1) and, when given, l outside 1..MAX_ITERATIONS."""
+    if not 0.0 < w < 1.0:
+        raise ValueError(f"w must be in (0, 1), got {w}")
+    if l is not None and not 1 <= l <= MAX_ITERATIONS:
+        raise ValueError(f"l must be in 1..{MAX_ITERATIONS}, got {l}")
+
 
 @dataclass(frozen=True)
 class SearchParams:
@@ -32,8 +45,7 @@ class SearchParams:
     delta: float
 
     def __post_init__(self):
-        if not 0.0 < self.w < 1.0:
-            raise ValueError(f"w must be in (0, 1), got {self.w}")
+        check_w_l(self.w)
         if not 0.0 < self.delta < 1.0:
             raise ValueError(f"delta must be in (0, 1), got {self.delta}")
 
@@ -96,10 +108,7 @@ def make_schedule(w: float, l: int, delta: float | None = None) -> AngleSchedule
     ``delta`` is carried along for bookkeeping only; it does not affect the
     angles.
     """
-    if not 0.0 < w < 1.0:
-        raise ValueError(f"w must be in (0, 1), got {w}")
-    if l < 1:
-        raise ValueError(f"l must be a positive integer, got {l}")
+    check_w_l(w, l)
     L = 2 * l + 1
     # L odd means the tangent argument never hits pi/2, so every entry is finite
     alpha = np.array(

@@ -24,7 +24,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .complexpoly import chebyshev_T
-from .schedule import AngleSchedule
+from .schedule import AngleSchedule, check_w_l
 
 
 @dataclass(frozen=True)
@@ -38,6 +38,12 @@ class TwoDimState:
         return math.hypot(abs(self.r_amp), abs(self.t_amp))
 
 
+def _check_x(x: float, name: str = "x") -> None:
+    # both overlaps, unmarked x and marked lambda, lie in [0, 1]
+    if not 0.0 <= x <= 1.0:
+        raise ValueError(f"{name} must be in [0, 1], got {x}")
+
+
 @dataclass(frozen=True)
 class OverlapX:
     """Paired overlaps of the initial state: unmarked x, marked lam."""
@@ -47,20 +53,13 @@ class OverlapX:
 
     @classmethod
     def from_lambda(cls, lam: float) -> "OverlapX":
-        if not 0.0 <= lam <= 1.0:
-            raise ValueError(f"lambda must be in [0, 1], got {lam}")
+        _check_x(lam, "lambda")
         return cls(x=math.sqrt(max(0.0, 1.0 - lam * lam)), lam=lam)
 
     @classmethod
     def from_x(cls, x: float) -> "OverlapX":
-        if not 0.0 <= x <= 1.0:
-            raise ValueError(f"x must be in [0, 1], got {x}")
+        _check_x(x)
         return cls(x=x, lam=math.sqrt(max(0.0, 1.0 - x * x)))
-
-
-def _check_x(x: float) -> None:
-    if not 0.0 <= x <= 1.0:
-        raise ValueError(f"x must be in [0, 1], got {x}")
 
 
 def rotation_R(x: float) -> np.ndarray:
@@ -98,33 +97,14 @@ def run_search(x: float, schedule: AngleSchedule) -> TwoDimState:
     return TwoDimState(r_amp=complex(state[0]), t_amp=complex(state[1]))
 
 
-def failure_amplitude_recursion(x: float, phi) -> complex:
-    """Final unmarked amplitude a_L(x) from the decoupled recursion.
-
-    Runs a_0 = 1, a_1 = x, a_{n+1} = x (1 + e^{-i phi_n}) a_n - e^{-i phi_n}
-    a_{n-1} over the 2l supplied phases.  |a_L(x)| equals the |r> amplitude
-    magnitude of run_search for the same angles.
-    """
-    _check_x(x)
-    a_prev, a = complex(1.0), complex(x)
-    for p in np.asarray(phi, dtype=float):
-        e = cmath.exp(-1j * p)
-        a_prev, a = a, x * (1.0 + e) * a - e * a_prev
-    return a
-
-
 def success_probability_closed(lam: float, w: float, l: int) -> float:
     """Closed-form final marked amplitude P(lambda) for the (w, l) schedule.
 
     Returns an amplitude norm in [0, 1], not a probability; square it to
     compare with full-space simulation output.
     """
-    if not 0.0 <= lam <= 1.0:
-        raise ValueError(f"lambda must be in [0, 1], got {lam}")
-    if not 0.0 < w < 1.0:
-        raise ValueError(f"w must be in (0, 1), got {w}")
-    if l < 1:
-        raise ValueError(f"l must be a positive integer, got {l}")
+    _check_x(lam, "lambda")
+    check_w_l(w, l)
     gamma = math.sqrt(1.0 - w * w)
     L = 2 * l + 1
     x = math.sqrt(max(0.0, 1.0 - lam * lam))

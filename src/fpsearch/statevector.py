@@ -107,7 +107,8 @@ def apply_marked_phase_via_oracle(
     full[dim:] *= cmath.exp(1j * alpha)
     flip_oracle()
     # nothing may remain entangled with the ancilla
-    assert np.all(full[dim:] == 0.0), "ancilla failed to disentangle"
+    if np.any(full[dim:] != 0.0):
+        raise RuntimeError("ancilla failed to disentangle")
     return StateVector(amps=full[:dim], n_qubits=state.n_qubits)
 
 

@@ -190,11 +190,10 @@ def check_three_way_agreement() -> CheckResult:
             sched = schedule.make_schedule(w, l)
             gamma = math.sqrt(1.0 - w * w)
             params = complexpoly.QuasiChebParams(gamma=gamma, L=sched.L)
-            for x in xs:
-                sim = abs(sim2d.run_search(x, sched).r_amp)
-                rec = abs(sim2d.failure_amplitude_recursion(x, sched.phi))
-                closed = abs(complexpoly.quasi_cheb_closed(params, x))
-                dev = max(dev, abs(sim - rec), abs(sim - closed))
+            sim = np.array([abs(sim2d.run_search(x, sched).r_amp) for x in xs])
+            rec = np.abs(complexpoly.quasi_cheb_recursive(params, xs))
+            closed = np.abs(complexpoly.quasi_cheb_closed(params, xs))
+            dev = max(dev, float(np.max(np.abs(sim - rec))), float(np.max(np.abs(sim - closed))))
     return _result("three_way_agreement", None, {}, dev, 1e-9)
 
 

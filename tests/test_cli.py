@@ -6,6 +6,7 @@ import math
 import pytest
 
 from fpsearch.cli import EXIT_IO, EXIT_OK, EXIT_USAGE, EXIT_VERIFY_FAILED, main
+from fpsearch.combinat import MAX_TANGENT_L
 
 
 def run_cli(capsys, *argv):
@@ -146,6 +147,48 @@ class TestSimulate:
         code, _, _ = run_cli(capsys, "simulate", "--lambda", "1.2", "--w", "0.08", "--delta", "0.3")
         assert code == EXIT_USAGE
 
+    def test_iteration_cap(self, capsys):
+        code, _, err = run_cli(capsys, "simulate", "--w", "0.1", "--l", "50000", "--lambda", "0.3")
+        assert code == EXIT_USAGE
+        assert err.startswith("error:") and "49999" in err
+
+
+class TestSimClosedGate:
+    # each case once printed a sim-vs-closed gap above 1e-9 and exited 0; the
+    # exit code must follow the printed gaps, whatever they become
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ("simulate", "--w", "0.5", "--l", "2000", "--lambda", "0.3"),
+            ("simulate", "--w", "0.9999", "--delta", "1e-200", "--lambda", "0.5"),
+            ("sweep", "--format", "json", "--w", "0.01", "--delta", "0.01",
+             "--lambda-min", "0", "--lambda-max", "1e-5", "--points", "3"),
+        ],
+    )
+    def test_exit_code_follows_abs_err(self, capsys, argv):
+        code, out, err = run_cli(capsys, *argv)
+        payload = json.loads(out)
+        rows = payload if isinstance(payload, list) else [payload]
+        within = all(row["abs_err"] <= 1e-9 for row in rows)
+        assert code == (EXIT_OK if within else EXIT_VERIFY_FAILED)
+        assert within or "FAILED sim_vs_closed" in err
+
+
+@pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+@pytest.mark.parametrize("flag", ["--w", "--delta", "--lambda", "--lambda-min", "--lambda-max"])
+def test_non_finite_float_flag(capsys, flag, value):
+    if flag == "--lambda":
+        flags = {"--w": "0.3", "--delta": "0.2", "--lambda": "0.5"}
+        command = "simulate"
+    else:
+        flags = {"--w": "0.3", "--delta": "0.2", "--points": "2"}
+        command = "sweep"
+    flags[flag] = value
+    code, out, err = run_cli(capsys, command, *(f"{k}={v}" for k, v in flags.items()))
+    assert code == EXIT_USAGE
+    assert out == ""
+    assert err.startswith("error:") and "Traceback" not in err
+
 
 class TestStatevector:
     def test_single_qubit_explicit_marked(self, capsys):
@@ -192,6 +235,11 @@ class TestStatevector:
             capsys, "statevector", "--qubits", "2", "--marked", "0,zebra", "--w", "0.5", "--delta", "0.5"
         )
         assert code == EXIT_USAGE
+        code, _, err = run_cli(
+            capsys, "statevector", "--qubits", "2", "--marked", "0,4", "--w", "0.5", "--delta", "0.5"
+        )
+        assert code == EXIT_USAGE
+        assert "[0, 4)" in err
 
 
 class TestVerify:
@@ -217,8 +265,9 @@ class TestVerify:
         assert "odd" in err
 
     def test_out_of_range_max_l(self, capsys):
-        code, _, _ = run_cli(capsys, "verify", "--max-L", "27")
+        code, _, err = run_cli(capsys, "verify", "--max-L", "27")
         assert code == EXIT_USAGE
+        assert f"3..{MAX_TANGENT_L}" in err
 
     def test_failure_exit_path(self, capsys, monkeypatch):
         import fpsearch.cli as cli_module

@@ -8,8 +8,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from fpsearch.complexpoly import QuasiChebParams, phi_angle
+from fpsearch.complexpoly import EVAL_MAX_DEGREE, QuasiChebParams, phi_angle
 from fpsearch.schedule import (
+    MAX_ITERATIONS,
     SearchParams,
     arccot,
     make_schedule,
@@ -22,7 +23,9 @@ class TestSearchParams:
     def test_valid(self):
         SearchParams(w=0.08, delta=0.3)
 
-    @pytest.mark.parametrize("w,delta", [(0.0, 0.3), (1.0, 0.3), (0.5, 0.0), (0.5, 1.0), (1.5, 0.3)])
+    @pytest.mark.parametrize(
+        "w,delta", [(0.0, 0.3), (1.0, 0.3), (0.5, 0.0), (0.5, 1.0), (1.5, 0.3), (math.nan, 0.3), (0.5, math.inf)]
+    )
     def test_invalid(self, w, delta):
         with pytest.raises(ValueError):
             SearchParams(w=w, delta=delta)
@@ -96,10 +99,17 @@ class TestMakeSchedule:
         for n in range(1, 2 * sched.l + 1):
             assert sched.phi[L - n - 1] == pytest.approx(-sched.phi[n - 1], abs=1e-12)
 
-    @pytest.mark.parametrize("w,l", [(0.0, 3), (1.0, 3), (-0.1, 3), (0.5, 0), (0.5, -2)])
+    @pytest.mark.parametrize(
+        "w,l", [(0.0, 3), (1.0, 3), (-0.1, 3), (math.nan, 3), (0.5, 0), (0.5, -2), (0.1, 50_000)]
+    )
     def test_invalid_inputs(self, w, l):
         with pytest.raises(ValueError):
             make_schedule(w, l)
+
+    def test_iteration_cap_matches_evaluation_cap(self):
+        # L = 2l + 1 of the longest schedule is the largest odd degree chebyshev_T evaluates
+        assert MAX_ITERATIONS == 49_999
+        assert make_schedule(0.1, MAX_ITERATIONS).L <= EVAL_MAX_DEGREE < 2 * MAX_ITERATIONS + 3
 
     def test_schedule_for_uses_minimum(self):
         sched = schedule_for(SearchParams(w=0.08, delta=0.3))

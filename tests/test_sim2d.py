@@ -7,12 +7,16 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from fpsearch.complexpoly import QuasiChebParams, chebyshev_T, quasi_cheb_closed
+from fpsearch.complexpoly import (
+    QuasiChebParams,
+    chebyshev_T,
+    quasi_cheb_closed,
+    quasi_cheb_recursive,
+)
 from fpsearch.schedule import SearchParams, make_schedule, min_iterations
 from fpsearch.sim2d import (
     OverlapX,
     classic_grover_optimal,
-    failure_amplitude_recursion,
     iteration_G,
     rotation_R,
     run_search,
@@ -95,24 +99,6 @@ class TestRunSearch:
                 assert run_search(float(x), sched).norm() == pytest.approx(1.0, abs=1e-10)
 
 
-class TestFailureRecursion:
-    def test_unmarked_start_keeps_unit_magnitude(self):
-        rng = np.random.default_rng(5)
-        phi = rng.uniform(-math.pi, math.pi, size=8)
-        assert abs(failure_amplitude_recursion(1.0, phi)) == pytest.approx(1.0, abs=1e-12)
-
-    def test_marked_start_is_zero(self):
-        rng = np.random.default_rng(6)
-        phi = rng.uniform(-math.pi, math.pi, size=6)
-        assert failure_amplitude_recursion(0.0, phi) == 0.0
-
-    def test_matches_matrix_simulation(self):
-        sched = make_schedule(0.5, 2)
-        value = failure_amplitude_recursion(0.3, sched.phi)
-        final = run_search(0.3, sched)
-        assert abs(value) == pytest.approx(abs(final.r_amp), abs=1e-10)
-
-
 class TestThreeWayAgreement:
     def test_grid(self):
         xs = np.linspace(0.0, 1.0, 50)
@@ -122,10 +108,10 @@ class TestThreeWayAgreement:
                 sched = make_schedule(w, l)
                 params = QuasiChebParams(gamma=gamma, L=sched.L)
                 closed = np.abs(quasi_cheb_closed(params, xs))
-                for x, ref in zip(xs, closed):
+                rec = np.abs(quasi_cheb_recursive(params, xs))
+                for x, ref, rec_x in zip(xs, closed, rec):
                     sim = abs(run_search(float(x), sched).r_amp)
-                    rec = abs(failure_amplitude_recursion(float(x), sched.phi))
-                    assert abs(sim - rec) <= 1e-9
+                    assert abs(sim - rec_x) <= 1e-9
                     assert abs(sim - ref) <= 1e-9
 
 
@@ -144,6 +130,13 @@ class TestClosedFormProbability:
 
     def test_reference_point(self):
         assert success_probability_closed(0.2, 0.08, 12) >= 0.95
+
+    @pytest.mark.parametrize(
+        "lam,w,l", [(1.2, 0.1, 3), (math.nan, 0.1, 3), (0.5, 0.0, 3), (0.5, 0.1, 0), (0.5, 0.1, 50_000)]
+    )
+    def test_domain(self, lam, w, l):
+        with pytest.raises(ValueError):
+            success_probability_closed(lam, w, l)
 
     def test_matches_simulation(self):
         for w, l in ((0.08, 12), (0.4, 4)):

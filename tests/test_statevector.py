@@ -114,6 +114,12 @@ class TestOracleConstruction:
         via = apply_marked_phase_via_oracle(state, marked, 1.234)
         assert np.max(np.abs(direct.amps - via.amps)) <= 1e-12
 
+    def test_ancilla_check_is_not_an_assert(self):
+        # a NaN phase leaves NaN on the ancilla half; the check must survive python -O
+        marked = MarkedSet(indices=(3,), n_qubits=2)
+        with pytest.raises(RuntimeError, match="ancilla"):
+            apply_marked_phase_via_oracle(init_uniform(2), marked, math.nan)
+
 
 class TestInitPhase:
     def test_zero_angle(self):
