@@ -9,21 +9,22 @@ identical flags produce byte-identical output.  Exit codes: 0 success,
 
 Range checks on the inputs live in the library.  This module checks only what
 the library never sees (format, lambda grid, flag combinations, the marked
-set's parsing and sampling, the register size) and turns every ``ValueError``
-into ``error: <msg>`` with exit code 2.
+set's parsing and sampling) and turns every ``ValueError`` into
+``error: <msg>`` with exit code 2.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 
 import numpy as np
 
 from .schedule import SearchParams, make_schedule, min_iterations
-from .sim2d import OverlapX, run_search, success_probability_closed
-from .statevector import MAX_QUBITS, MarkedSet, run_full_search
+from .sim2d import run_search, success_probability_closed
+from .statevector import MarkedSet, check_qubits, run_full_search
 from .verify import run_verification
 
 EXIT_OK = 0
@@ -92,12 +93,12 @@ def _sweep_rows(args, sched):
         )
     if not 2 <= args.points <= 1_000_000:
         raise ValueError(f"points must be in 2..1000000, got {args.points}")
+    lams = np.linspace(args.lambda_min, args.lambda_max, args.points)
+    closed = success_probability_closed(lams, sched.w, sched.l)
     rows = []
-    for lam in np.linspace(args.lambda_min, args.lambda_max, args.points):
-        overlap = OverlapX.from_lambda(float(lam))
-        p_sim = abs(run_search(overlap.x, sched).t_amp)
-        p_closed = success_probability_closed(overlap.lam, sched.w, sched.l)
-        rows.append((overlap.lam, p_sim, p_closed, abs(p_sim - p_closed)))
+    for lam, p_closed in zip(lams.tolist(), closed.tolist()):
+        p_sim = abs(run_search(math.sqrt(max(0.0, 1.0 - lam * lam)), sched).t_amp)
+        rows.append((lam, p_sim, p_closed, abs(p_sim - p_closed)))
     return rows
 
 
@@ -126,9 +127,9 @@ def cmd_sweep(args) -> int:
 def cmd_simulate(args) -> int:
     _require_format(args, ("json",))
     sched = _schedule_from_args(args)
-    overlap = OverlapX.from_lambda(args.lam)
-    p_sim = abs(run_search(overlap.x, sched).t_amp)
-    p_closed = success_probability_closed(overlap.lam, sched.w, sched.l)
+    # the closed form runs first: it is what rejects a lambda outside [0, 1]
+    p_closed = success_probability_closed(args.lam, sched.w, sched.l)
+    p_sim = abs(run_search(math.sqrt(max(0.0, 1.0 - args.lam * args.lam)), sched).t_amp)
     payload = {
         "lambda": args.lam,
         "w": sched.w,
@@ -156,8 +157,8 @@ def _parse_marked(args, dim: int):
 
 def cmd_statevector(args) -> int:
     _require_format(args, ("json",))
-    if not 1 <= args.qubits <= MAX_QUBITS:
-        raise ValueError(f"--qubits must be in 1..{MAX_QUBITS}, got {args.qubits}")
+    # 1 << qubits below must not run on a size init_uniform would reject
+    check_qubits(args.qubits)
     marked = MarkedSet(indices=_parse_marked(args, 1 << args.qubits), n_qubits=args.qubits)
     sched = _schedule_from_args(args)
     result = run_full_search(args.qubits, marked, sched)

@@ -25,7 +25,7 @@ from dataclasses import dataclass
 import numpy as np
 from numpy.polynomial import polynomial as npoly
 
-from .complexpoly import QuasiChebParams, check_gamma, n_poly_coeffs
+from .complexpoly import QuasiChebParams, check_gamma, n_poly_coeffs, tan_table
 
 MAX_ENUM_L = 15
 MAX_WEIGHT_L = 13
@@ -44,11 +44,6 @@ def _check_L(L: int, cap: int, what: str) -> None:
 def _check_variant(variant: str) -> None:
     if variant not in ("A", "B"):
         raise ValueError(f"variant must be 'A' or 'B', got {variant!r}")
-
-
-def tan_table(L: int) -> np.ndarray:
-    """tan(n pi / L) for n = 0..L-1; every entry is finite because L is odd."""
-    return np.tan(np.arange(L) * math.pi / L)
 
 
 def domino_weights(L: int, variant: str, w: float) -> np.ndarray:

@@ -6,7 +6,9 @@ the ordinary Chebyshev polynomial T_L(x) when gamma = 1 and in general equals
 T_L(x/gamma) / T_L(1/gamma).  This module also carries the numerator /
 denominator split of that ratio: the numerator polynomial satisfies
 N_L(x) = gamma^L T_L(x/gamma) and the denominator constant satisfies
-D_L(gamma) = gamma^L T_L(1/gamma).
+D_L(gamma) = gamma^L T_L(1/gamma).  ``tan_table`` is the one source of the
+tangents tan(n pi / L): the twists and twist angles here, the schedule angles
+and the tiling weights are all taken from it.
 
 Complex scalars are Python ``complex``; coefficient vectors are numpy arrays
 of ``complex128`` indexed by degree.
@@ -14,7 +16,6 @@ of ``complex128`` indexed by degree.
 
 from __future__ import annotations
 
-import cmath
 import math
 from dataclasses import dataclass
 
@@ -48,13 +49,24 @@ class QuasiChebParams:
     def l(self) -> int:
         return (self.L - 1) // 2
 
-    def tan_multiple(self, n: int) -> float:
-        """tan(n pi / L), periodic in n; finite for every n because L is odd."""
-        return math.tan((n % self.L) * math.pi / self.L)
 
-    def twist(self, n: int) -> float:
-        """Scaled tangent t_n = sqrt(1 - gamma^2) * tan(n pi / L)."""
-        return math.sqrt(1.0 - self.gamma * self.gamma) * self.tan_multiple(n)
+def tan_table(L: int) -> np.ndarray:
+    """tan(n pi / L) for n = 0..L-1; every entry is finite because L is odd."""
+    return np.tan(np.arange(L) * math.pi / L)
+
+
+def twists(params: QuasiChebParams) -> np.ndarray:
+    """Scaled tangents t_n = sqrt(1 - gamma^2) tan(n pi / L) for n = 0..L-1."""
+    return math.sqrt(1.0 - params.gamma * params.gamma) * tan_table(params.L)
+
+
+def phi_angles(params: QuasiChebParams) -> np.ndarray:
+    """Twist angles phi_n = 2 arctan(t_n) for n = 1..2l, phi_n at index n - 1.
+
+    Each lies in (-pi, pi); the unit phase e^{-i phi_n} equals
+    (1 - i t_n) / (1 + i t_n).
+    """
+    return 2.0 * np.arctan(twists(params)[1:])
 
 
 def chebyshev_T(L: int, x):
@@ -79,17 +91,6 @@ def chebyshev_T(L: int, x):
     return out
 
 
-def phi_angle(params: QuasiChebParams, n: int) -> float:
-    """Twist angle phi_n = 2 arctan(sqrt(1 - gamma^2) tan(n pi / L)).
-
-    Defined for n = 1..2l; the result lies in (-pi, pi).  The unit phase
-    e^{-i phi_n} equals (1 - i t_n) / (1 + i t_n).
-    """
-    if not 1 <= n <= 2 * params.l:
-        raise ValueError(f"n must be in 1..{2 * params.l}, got {n}")
-    return 2.0 * math.atan(params.twist(n))
-
-
 def quasi_cheb_recursive(params: QuasiChebParams, x):
     """Degree-L value of the twisted recursion at x (scalar or array).
 
@@ -102,8 +103,7 @@ def quasi_cheb_recursive(params: QuasiChebParams, x):
         raise ValueError("recursion evaluation is guarded to |x| <= 10")
     a_prev = np.ones_like(arr)
     a = arr.copy()
-    for n in range(1, params.L):
-        e = cmath.exp(-1j * phi_angle(params, n))
+    for e in np.exp(-1j * phi_angles(params)):
         a_prev, a = a, arr * (1.0 + e) * a - e * a_prev
     if np.ndim(x) == 0:
         return complex(a)
@@ -144,8 +144,7 @@ def quasi_cheb_coeffs(params: QuasiChebParams) -> np.ndarray:
     a_prev[0] = 1.0
     a = np.zeros(L + 1, dtype=complex)
     a[1] = 1.0
-    for n in range(1, L):
-        e = cmath.exp(-1j * phi_angle(params, n))
+    for e in np.exp(-1j * phi_angles(params)):
         a_prev, a = a, (1.0 + e) * _raised(a) - e * a_prev
     return a
 
@@ -163,8 +162,8 @@ def n_poly_coeffs(params: QuasiChebParams) -> np.ndarray:
     n_prev[0] = 1.0
     n_cur = np.zeros(L + 1, dtype=complex)
     n_cur[1] = 1.0
-    for n in range(1, L):
-        factor = (1.0 - 1j * params.twist(n)) * (1.0 + 1j * params.twist(n - 1))
+    t = twists(params)
+    for factor in (1.0 - 1j * t[1:]) * (1.0 + 1j * t[:-1]):
         n_prev, n_cur = n_cur, 2.0 * _raised(n_cur) - factor * n_prev
     return n_cur
 
@@ -175,7 +174,4 @@ def d_product(params: QuasiChebParams) -> complex:
     The factors pair off (t_{L-n} = -t_n, t_0 = 0), so the product is real
     and positive; it equals gamma^L T_L(1/gamma).
     """
-    out = complex(1.0)
-    for n in range(params.L):
-        out *= 1.0 + 1j * params.twist(n)
-    return out
+    return complex(np.prod(1.0 + 1j * twists(params)))

@@ -23,7 +23,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .complexpoly import EVAL_MAX_DEGREE
+from .complexpoly import EVAL_MAX_DEGREE, tan_table
 
 # the largest l whose degree L = 2l + 1 chebyshev_T still evaluates
 MAX_ITERATIONS = (EVAL_MAX_DEGREE - 1) // 2
@@ -58,14 +58,14 @@ def min_iterations(params: SearchParams) -> int:
     return max(1, math.ceil(math.log(2.0 / params.delta) / (2.0 * params.w)))
 
 
-def arccot(y: float) -> float:
-    """Inverse cotangent on the (0, pi) branch: pi/2 - arctan(y).
+def arccot(y):
+    """Inverse cotangent on the (0, pi) branch: pi/2 - arctan(y), scalar or elementwise.
 
     Strictly decreasing, arccot(0) = pi/2.  This is the unique branch for
     which pi - 2 arccot(z) = 2 arctan(z) at every finite z, the identity the
     schedule's alpha/phi relation relies on.
     """
-    return 0.5 * math.pi - math.atan(y)
+    return 0.5 * math.pi - np.arctan(y)
 
 
 @dataclass(frozen=True)
@@ -109,17 +109,11 @@ def make_schedule(w: float, l: int, delta: float | None = None) -> AngleSchedule
     angles.
     """
     check_w_l(w, l)
-    L = 2 * l + 1
-    # L odd means the tangent argument never hits pi/2, so every entry is finite
-    alpha = np.array(
-        [2.0 * arccot(w * math.tan((2 * k - 1) * math.pi / L)) for k in range(1, l + 1)]
-    )
-    beta = np.array(
-        [-2.0 * arccot(w * math.tan(2 * k * math.pi / L)) for k in range(1, l + 1)]
-    )
-    phi = np.array(
-        [2.0 * math.atan(w * math.tan(n * math.pi / L)) for n in range(1, 2 * l + 1)]
-    )
+    # t[n] = w tan(n pi / L): alpha_k takes n = 2k - 1, beta_k takes n = 2k
+    t = w * tan_table(2 * l + 1)
+    alpha = 2.0 * arccot(t[1::2])
+    beta = -2.0 * arccot(t[2::2])
+    phi = 2.0 * np.arctan(t[1:])
     return AngleSchedule(w=w, l=l, alpha=alpha, beta=beta, phi=phi, delta=delta)
 
 

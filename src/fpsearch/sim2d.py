@@ -38,28 +38,13 @@ class TwoDimState:
         return math.hypot(abs(self.r_amp), abs(self.t_amp))
 
 
-def _check_x(x: float, name: str = "x") -> None:
-    # both overlaps, unmarked x and marked lambda, lie in [0, 1]
-    if not 0.0 <= x <= 1.0:
+def _check_x(x, name: str = "x") -> None:
+    # both overlaps, x and lambda, lie in [0, 1]; an array is checked by its extremes (NaN if any entry is)
+    if isinstance(x, np.ndarray):
+        for value in (np.min(x), np.max(x)):
+            _check_x(value, name)
+    elif not 0.0 <= x <= 1.0:
         raise ValueError(f"{name} must be in [0, 1], got {x}")
-
-
-@dataclass(frozen=True)
-class OverlapX:
-    """Paired overlaps of the initial state: unmarked x, marked lam."""
-
-    x: float
-    lam: float
-
-    @classmethod
-    def from_lambda(cls, lam: float) -> "OverlapX":
-        _check_x(lam, "lambda")
-        return cls(x=math.sqrt(max(0.0, 1.0 - lam * lam)), lam=lam)
-
-    @classmethod
-    def from_x(cls, x: float) -> "OverlapX":
-        _check_x(x)
-        return cls(x=x, lam=math.sqrt(max(0.0, 1.0 - x * x)))
 
 
 def rotation_R(x: float) -> np.ndarray:
@@ -97,20 +82,24 @@ def run_search(x: float, schedule: AngleSchedule) -> TwoDimState:
     return TwoDimState(r_amp=complex(state[0]), t_amp=complex(state[1]))
 
 
-def success_probability_closed(lam: float, w: float, l: int) -> float:
+def success_probability_closed(lam, w: float, l: int):
     """Closed-form final marked amplitude P(lambda) for the (w, l) schedule.
 
-    Returns an amplitude norm in [0, 1], not a probability; square it to
-    compare with full-space simulation output.
+    Scalar lambda gives a float, an array of lambda an array of the same
+    shape.  Returns amplitude norms in [0, 1], not probabilities; square them
+    to compare with full-space simulation output.
     """
-    _check_x(lam, "lambda")
+    lams = np.asarray(lam, dtype=float)
+    _check_x(lams, "lambda")
     check_w_l(w, l)
     gamma = math.sqrt(1.0 - w * w)
     L = 2 * l + 1
-    x = math.sqrt(max(0.0, 1.0 - lam * lam))
+    x = np.sqrt(np.maximum(0.0, 1.0 - lams * lams))
     ratio = chebyshev_T(L, x / gamma) / chebyshev_T(L, 1.0 / gamma)
-    # the ratio can exceed 1 by roundoff only when it is 1 up to eps
-    return math.sqrt(max(0.0, 1.0 - ratio * ratio))
+    # the ratio can exceed 1 by roundoff only when it is 1 up to eps; fmax also
+    # turns the NaN of a cosh overflow into 0 (ROADMAP item 3)
+    out = np.sqrt(np.fmax(0.0, 1.0 - ratio * ratio))
+    return float(out) if out.ndim == 0 else out
 
 
 def classic_grover_optimal(lam: float) -> int:

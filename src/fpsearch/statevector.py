@@ -61,10 +61,15 @@ class MarkedSet:
         return math.sqrt(len(self.indices) / (1 << self.n_qubits))
 
 
-def init_uniform(n_qubits: int) -> StateVector:
-    """Equal superposition of all 2^n basis states."""
+def check_qubits(n_qubits: int) -> None:
+    """Reject a register size outside 1..MAX_QUBITS."""
     if not 1 <= n_qubits <= MAX_QUBITS:
         raise ValueError(f"n_qubits must be in 1..{MAX_QUBITS}, got {n_qubits}")
+
+
+def init_uniform(n_qubits: int) -> StateVector:
+    """Equal superposition of all 2^n basis states."""
+    check_qubits(n_qubits)
     dim = 1 << n_qubits
     amps = np.full(dim, 2.0 ** (-n_qubits / 2.0), dtype=complex)
     return StateVector(amps=amps, n_qubits=n_qubits)

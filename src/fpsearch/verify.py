@@ -153,15 +153,15 @@ def check_schedule_relations() -> CheckResult:
     for w in (0.05, 0.2, 0.5, 0.8):
         for l in (1, 2, 5, 12):
             sched = schedule.make_schedule(w, l)
-            for k in range(1, l + 1):
-                dev = max(dev, abs(sched.phi[2 * k - 2] - (math.pi - sched.alpha[k - 1])))
-                dev = max(dev, abs(sched.phi[2 * k - 1] - (sched.beta[k - 1] + math.pi)))
-            for n in range(1, 2 * l + 1):
-                dev = max(dev, abs(sched.phi[sched.L - n - 1] + sched.phi[n - 1]))
-            gamma = math.sqrt(1.0 - w * w)
-            params = complexpoly.QuasiChebParams(gamma=gamma, L=sched.L)
-            for n in range(1, 2 * l + 1):
-                dev = max(dev, abs(sched.phi[n - 1] - complexpoly.phi_angle(params, n)))
+            params = complexpoly.QuasiChebParams(gamma=math.sqrt(1.0 - w * w), L=sched.L)
+            # phi_{2k-1} = pi - alpha_k, phi_{2k} = beta_k + pi, phi_{L-n} = -phi_n, twist angle phi_n
+            gaps = np.concatenate([
+                sched.phi[0::2] - (math.pi - sched.alpha),
+                sched.phi[1::2] - (sched.beta + math.pi),
+                sched.phi[::-1] + sched.phi,
+                sched.phi - complexpoly.phi_angles(params),
+            ])
+            dev = max(dev, float(np.max(np.abs(gaps))))
     return _result("schedule_phase_relations", None, {}, dev, 1e-12)
 
 
@@ -212,8 +212,7 @@ def check_fixed_point_guarantee() -> CheckResult:
         for delta in (0.1, 0.3, 0.5):
             l = schedule.min_iterations(schedule.SearchParams(w=w, delta=delta))
             target = math.sqrt(1.0 - delta * delta)
-            lams = np.linspace(w, 1.0, 200)
-            worst = min(sim2d.success_probability_closed(lam, w, l) for lam in lams)
+            worst = float(np.min(sim2d.success_probability_closed(np.linspace(w, 1.0, 200), w, l)))
             dev = max(dev, target - worst)
     return _result("fixed_point_guarantee", None, {}, max(dev, 0.0), 1e-12)
 

@@ -15,10 +15,11 @@ from fpsearch.complexpoly import (
     chebyshev_T,
     d_product,
     n_poly_coeffs,
-    phi_angle,
+    phi_angles,
     quasi_cheb_closed,
     quasi_cheb_coeffs,
     quasi_cheb_recursive,
+    twists,
 )
 
 
@@ -103,34 +104,34 @@ class TestParams:
 class TestPhiAngle:
     def test_gamma_one_vanishes(self):
         params = QuasiChebParams(gamma=1.0, L=7)
-        for n in range(1, 7):
-            assert phi_angle(params, n) == 0.0
+        assert np.array_equal(twists(params), np.zeros(7))
+        assert np.array_equal(phi_angles(params), np.zeros(6))
 
     def test_analytic_value(self):
         # gamma = sqrt(1 - w^2) with w = 1/sqrt(3): 2 arctan(tan(pi/3)/sqrt(3)) = pi/2
         params = QuasiChebParams(gamma=math.sqrt(1.0 - 1.0 / 3.0), L=3)
-        assert phi_angle(params, 1) == pytest.approx(math.pi / 2.0, abs=1e-14)
+        assert phi_angles(params)[0] == pytest.approx(math.pi / 2.0, abs=1e-14)
 
     def test_reflection_antisymmetry(self):
-        params = QuasiChebParams(gamma=0.9, L=5)
-        assert phi_angle(params, 3) < 0.0
-        assert phi_angle(params, 3) == pytest.approx(-phi_angle(params, 2), abs=1e-14)
-
-    def test_out_of_range_rejected(self):
-        params = QuasiChebParams(gamma=0.9, L=5)
-        for n in (0, 5, -1):
-            with pytest.raises(ValueError):
-                phi_angle(params, n)
+        # phi_n at index n - 1: phi_3 = -phi_2 for L = 5
+        phi = phi_angles(QuasiChebParams(gamma=0.9, L=5))
+        assert phi[2] < 0.0
+        assert phi[2] == pytest.approx(-phi[1], abs=1e-14)
 
     def test_unit_phase_form(self):
-        # e^{-i phi_n} = (1 - i t_n) / (1 + i t_n)
+        # e^{-i phi_n} = (1 - i t_n) / (1 + i t_n), each entry against the scalar formulas
         for gamma in (0.1, 0.5, 0.95):
             for L in (3, 9, 25):
                 params = QuasiChebParams(gamma=gamma, L=L)
+                t = twists(params)
+                phi = phi_angles(params)
+                assert t.shape == (L,) and phi.shape == (L - 1,)
                 for n in range(1, L):
-                    t_n = params.twist(n)
-                    lhs = cmath.exp(-1j * phi_angle(params, n))
-                    rhs = (1.0 - 1j * t_n) / (1.0 + 1j * t_n)
+                    t_n = math.sqrt(1.0 - gamma * gamma) * math.tan(n * math.pi / L)
+                    assert t[n] == pytest.approx(t_n, rel=1e-14)
+                    assert phi[n - 1] == pytest.approx(2.0 * math.atan(t_n), abs=1e-14)
+                    lhs = cmath.exp(-1j * phi[n - 1])
+                    rhs = (1.0 - 1j * t[n]) / (1.0 + 1j * t[n])
                     assert abs(lhs - rhs) <= 1e-14
 
 

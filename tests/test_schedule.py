@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from fpsearch.complexpoly import EVAL_MAX_DEGREE, QuasiChebParams, phi_angle
+from fpsearch.complexpoly import EVAL_MAX_DEGREE, QuasiChebParams, phi_angles
 from fpsearch.schedule import (
     MAX_ITERATIONS,
     SearchParams,
@@ -78,6 +78,18 @@ class TestMakeSchedule:
         assert len(sched.alpha) == 12 and len(sched.beta) == 12 and len(sched.phi) == 24
         expected = 2.0 * arccot(0.08 * math.tan(math.pi / 25.0))
         assert sched.alpha[0] == pytest.approx(expected, abs=1e-14)
+        # every angle against the module docstring's per-index formulas, in scalar math
+        def acot(y):
+            return 0.5 * math.pi - math.atan(y)
+
+        for w, l in ((0.5, 1), (0.08, 12), (0.01, 265)):
+            sched = make_schedule(w, l)
+            L = 2 * l + 1
+            for k in range(1, l + 1):
+                assert abs(sched.alpha[k - 1] - 2.0 * acot(w * math.tan((2 * k - 1) * math.pi / L))) <= 1e-14
+                assert abs(sched.beta[k - 1] + 2.0 * acot(w * math.tan(2 * k * math.pi / L))) <= 1e-14
+            for n in range(1, 2 * l + 1):
+                assert abs(sched.phi[n - 1] - 2.0 * math.atan(w * math.tan(n * math.pi / L))) <= 1e-14
 
     def test_phi_alpha_beta_relation(self):
         for w, l in ((0.08, 12), (0.5, 3), (0.9, 1)):
@@ -90,8 +102,7 @@ class TestMakeSchedule:
         for w, l in ((0.08, 12), (0.4, 5)):
             sched = make_schedule(w, l)
             params = QuasiChebParams(gamma=math.sqrt(1.0 - w * w), L=sched.L)
-            for n in range(1, 2 * l + 1):
-                assert sched.phi[n - 1] == pytest.approx(phi_angle(params, n), abs=1e-12)
+            assert np.max(np.abs(sched.phi - phi_angles(params))) <= 1e-12
 
     def test_phi_reflection_symmetry(self):
         sched = make_schedule(0.3, 7)

@@ -15,7 +15,6 @@ from fpsearch.complexpoly import (
 )
 from fpsearch.schedule import SearchParams, make_schedule, min_iterations
 from fpsearch.sim2d import (
-    OverlapX,
     classic_grover_optimal,
     iteration_G,
     rotation_R,
@@ -132,11 +131,23 @@ class TestClosedFormProbability:
         assert success_probability_closed(0.2, 0.08, 12) >= 0.95
 
     @pytest.mark.parametrize(
-        "lam,w,l", [(1.2, 0.1, 3), (math.nan, 0.1, 3), (0.5, 0.0, 3), (0.5, 0.1, 0), (0.5, 0.1, 50_000)]
+        "lam,w,l",
+        [
+            (1.2, 0.1, 3), (math.nan, 0.1, 3), (0.5, 0.0, 3), (0.5, 0.1, 0), (0.5, 0.1, 50_000),
+            (np.array([0.5, 1.2]), 0.1, 3), (np.array([-0.1, 0.5]), 0.1, 3), (np.array([0.2, math.nan]), 0.1, 3),
+        ],
     )
     def test_domain(self, lam, w, l):
         with pytest.raises(ValueError):
             success_probability_closed(lam, w, l)
+
+    def test_array_matches_scalar(self):
+        lams = np.linspace(0.0, 1.0, 101)
+        vec = success_probability_closed(lams, 0.08, 12)
+        assert vec.shape == lams.shape
+        assert isinstance(success_probability_closed(0.5, 0.08, 12), float)
+        for lam, value in zip(lams, vec):
+            assert value == pytest.approx(success_probability_closed(float(lam), 0.08, 12), abs=1e-15)
 
     def test_matches_simulation(self):
         for w, l in ((0.08, 12), (0.4, 4)):
@@ -153,6 +164,23 @@ class TestClosedFormProbability:
                 target = math.sqrt(1.0 - delta * delta)
                 for lam in np.linspace(w, 1.0, 200):
                     assert success_probability_closed(float(lam), w, l) >= target - 1e-12
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        w=st.floats(min_value=0.02, max_value=0.95),
+        delta=st.floats(min_value=0.01, max_value=0.9),
+        u=st.floats(min_value=0.0, max_value=1.0),
+    )
+    def test_guarantee_property(self, w, delta, u):
+        # minimal l keeps P(lambda) >= sqrt(1 - delta^2) on all of [w, 1], and the
+        # matrix simulation agrees with the closed form at lambda = w and one drawn lambda
+        l = min_iterations(SearchParams(w=w, delta=delta))
+        worst = np.min(success_probability_closed(np.linspace(w, 1.0, 400), w, l))
+        assert worst >= math.sqrt(1.0 - delta * delta) - 1e-12
+        sched = make_schedule(w, l)
+        for lam in (w, w + u * (1.0 - w)):
+            sim = abs(run_search(math.sqrt(1.0 - lam * lam), sched).t_amp)
+            assert abs(sim - success_probability_closed(lam, w, l)) <= 1e-9
 
 
 class TestClassicGroverOptimal:
@@ -183,18 +211,3 @@ class TestClassicGroverOptimal:
                 state = G @ state
             prob = abs(state[1]) ** 2
             assert prob >= max(1.0 - lam * lam, lam * lam) - 1e-12
-
-
-class TestOverlapX:
-    def test_duality(self):
-        pair = OverlapX.from_lambda(0.6)
-        assert pair.x == pytest.approx(0.8, abs=1e-15)
-        back = OverlapX.from_x(pair.x)
-        assert back.lam == pytest.approx(0.6, abs=1e-12)
-        assert pair.x**2 + pair.lam**2 == pytest.approx(1.0, abs=1e-12)
-
-    def test_domain(self):
-        with pytest.raises(ValueError):
-            OverlapX.from_lambda(1.2)
-        with pytest.raises(ValueError):
-            OverlapX.from_x(-0.1)
