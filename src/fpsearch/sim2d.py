@@ -40,7 +40,7 @@ class TwoDimState:
 
 def _check_x(x, name: str = "x") -> None:
     # both overlaps, x and lambda, lie in [0, 1]; an array is checked by its extremes (NaN if any entry is)
-    if isinstance(x, np.ndarray):
+    if isinstance(x, np.ndarray) and x.ndim:
         for value in (np.min(x), np.max(x)):
             _check_x(value, name)
     elif not 0.0 <= x <= 1.0:
