@@ -12,14 +12,19 @@ cut-open L-line) gives N_L(x) itself.  Two domino weightings matter:
 
 with t(n) = tan(n pi / L) and w = sqrt(1 - gamma^2).  Their total weights
 agree coefficientwise in w, which is what pins N_L(x) to gamma^L T_L(x/gamma).
+Every tiling weight, a value at one w or the exact coefficients in w, comes
+from one row product over the bit matrix of all tilings: the coefficients
+are the domino quadratics multiplied out, not fitted to sampled values.
 Everything here is verified by brute-force enumeration at desk scale, not by
 re-proving the identities.
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
+import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -46,17 +51,24 @@ def _check_variant(variant: str) -> None:
         raise ValueError(f"variant must be 'A' or 'B', got {variant!r}")
 
 
-def domino_weights(L: int, variant: str, w: float) -> np.ndarray:
-    """Weight of the domino on <d, d-1> for every start position d in [L].
-
-    Variant A gives -(1 - i w t(d)) (1 + i w t(d-1)); variant B the constant
-    -(1 - w) (1 + w).
-    """
+@functools.lru_cache(maxsize=64)
+def _domino_table(L: int, variant: str, w: float | None = None) -> np.ndarray:
+    # the domino on <d, d-1> weighs -(1 + p w)(1 + q w): p = -i t(d) and
+    # q = i t(d-1) in variant A, p = -1 and q = 1 in variant B.  Row d holds
+    # that weight at w, or its coefficients in w when w is None.  Cached
+    # read-only, because one weight model serves every tiling of a check
     _check_variant(variant)
-    if variant == "B":
-        return np.full(L, -(1.0 - w) * (1.0 + w), dtype=complex)
-    t = tan_table(L)
-    return -(1.0 - 1j * w * t) * (1.0 + 1j * w * np.roll(t, 1))
+    if variant == "A":
+        t = tan_table(L)
+        p, q = -1j * t, 1j * np.roll(t, 1)
+    else:
+        p, q = np.full(L, -1.0), np.full(L, 1.0)
+    if w is None:
+        table = -np.stack([np.ones(L), p + q, p * q], axis=1)
+    else:
+        table = (-(1.0 + p * w) * (1.0 + q * w))[:, None]
+    table.setflags(write=False)
+    return table
 
 
 def combinations_array(L: int, k: int) -> np.ndarray:
@@ -80,13 +92,20 @@ class Tiling:
     dominoes: frozenset
 
     def __post_init__(self):
-        if self.L < 3 or self.L % 2 == 0:
-            raise ValueError(f"L must be odd and >= 3, got {self.L}")
-        dom = frozenset(int(d) % self.L for d in self.dominoes)
+        try:
+            L, positions = operator.index(self.L), [operator.index(d) for d in self.dominoes]
+        except TypeError:
+            raise ValueError(
+                f"L and domino positions must be integers, got {self.L!r}, {set(self.dominoes)}"
+            ) from None
+        if L < 3 or L % 2 == 0:
+            raise ValueError(f"L must be odd and >= 3, got {L}")
+        dom = frozenset(d % L for d in positions)
+        object.__setattr__(self, "L", L)
         object.__setattr__(self, "dominoes", dom)
         for d in dom:
-            if (d + 1) % self.L in dom:
-                raise ValueError(f"overlapping dominoes at positions {d}, {(d + 1) % self.L}")
+            if (d + 1) % L in dom:
+                raise ValueError(f"overlapping dominoes at positions {d}, {(d + 1) % L}")
 
     @property
     def squares(self) -> tuple:
@@ -149,29 +168,44 @@ class WeightModel:
         _check_variant(self.variant)
 
 
-def tiling_weight(tiling: Tiling, model: WeightModel) -> complex:
-    """Product of the piece weights of ``tiling`` under ``model``."""
-    dom = domino_weights(tiling.L, model.variant, model.w)
-    out = complex(1.0)
-    for p in tiling.squares:
-        out *= model.x if (model.modified and p == 0) else 2.0 * model.x
-    for d in tiling.dominoes:
-        out *= dom[d]
+def _row_weights(bits: np.ndarray, dom: np.ndarray, x: float, modified: bool) -> np.ndarray:
+    # weight of every tiling at once, one row of the (tilings, L) bit matrix
+    # each, as coefficients in w (a single column when dom holds values at
+    # one w).  A square weighs 2x, or x at position 0 when modified and
+    # neither bit 0 nor bit 1 is set.  With L odd, a tiling is one square
+    # plus L // 2 slots, each holding a domino or a pair of squares; the
+    # slots multiply in one column of all rows at a time, dominos first in
+    # increasing position, each step convolving the coefficients exactly
+    rows, L = bits.shape
+    m = dom.shape[1]
+    factors = np.concatenate([dom, np.zeros((1, m))])
+    factors[L, 0] = (2.0 * x) ** 2
+    out = np.zeros((rows, 1 + (m - 1) * (L // 2)), dtype=complex)
+    out[:, 0] = 2.0 * x
+    if modified:
+        out[~(bits[:, 0] | bits[:, 1]), 0] = x
+    slots = np.sort(np.where(bits, np.arange(L), L), axis=1)[:, : L // 2]
+    for factor in factors[slots].transpose(1, 0, 2):
+        grown = factor[:, :1] * out
+        for j in range(1, m):
+            grown[:, j:] += factor[:, j, None] * out[:, :-j]
+        out = grown
     return out
 
 
+def tiling_weight(tiling: Tiling, model: WeightModel) -> complex:
+    """Product of the piece weights of ``tiling`` under ``model``."""
+    bits = np.array([[p in tiling.dominoes for p in range(tiling.L)]])
+    dom = _domino_table(tiling.L, model.variant, model.w)
+    return complex(_row_weights(bits, dom, model.x, model.modified)[0, 0])
+
+
 def _total_weight(L: int, gamma: float, x: float, wrap: bool) -> complex:
-    # the variant-A weight of every tiling at once: (2x)^{n_sq} times the
-    # weights of its dominos, with the square at position 0 of the line
-    # (free exactly when no domino sits at 1) weighing x instead of 2x
+    # variant A; the cut-open line (wrap=False) takes the modified squares
     _check_L(L, MAX_WEIGHT_L, "the weight total")
     check_gamma(gamma)
-    bits = _tiling_bits(L, wrap)
-    dom = domino_weights(L, "A", math.sqrt(1.0 - gamma * gamma))
-    squares = (2.0 * x) ** (L - 2 * np.count_nonzero(bits, axis=1))
-    if not wrap:
-        squares[~bits[:, 1]] *= 0.5
-    return complex(np.sum(squares * np.prod(np.where(bits, dom, 1.0), axis=1)))
+    dom = _domino_table(L, "A", math.sqrt(1.0 - gamma * gamma))
+    return complex(np.sum(_row_weights(_tiling_bits(L, wrap), dom, x, not wrap)[:, 0]))
 
 
 def total_star_weight(L: int, gamma: float, x: float) -> complex:
@@ -189,46 +223,6 @@ def n_poly_value(L: int, gamma: float, x: float) -> complex:
     return complex(npoly.polyval(x, n_poly_coeffs(QuasiChebParams(gamma=gamma, L=L))))
 
 
-def _variant_sum(tilings, L: int, variant: str, w: float, n_s: int) -> complex:
-    # square weights contribute (2x)^{n_s} with x = 1; w is a formal variable
-    # here, so no range restriction applies
-    dom = domino_weights(L, variant, w)
-    total = 0j
-    for tiling in tilings:
-        piece = complex(2.0**n_s)
-        for d in tiling.dominoes:
-            piece *= dom[d]
-        total += piece
-    return total
-
-
-def _variant_coeffs_nodes(tilings, L: int, variant: str, n_s: int, degree: int) -> np.ndarray:
-    # recover the w-polynomial from values at Chebyshev nodes on [-1, 1];
-    # symmetric nodes keep the Vandermonde solve well conditioned
-    m = L + 2
-    nodes = np.cos((2.0 * np.arange(m) + 1.0) * math.pi / (2.0 * m))
-    values = np.array([_variant_sum(tilings, L, variant, w, n_s) for w in nodes])
-    vander = npoly.polyvander(nodes, degree)
-    coeffs, *_ = np.linalg.lstsq(vander, values, rcond=None)
-    return coeffs
-
-
-def _variant_coeffs_product(tilings, L: int, variant: str, n_s: int, degree: int) -> np.ndarray:
-    # expand each tiling weight as an explicit product of linear factors in w
-    t = tan_table(L)
-    total = np.zeros(degree + 1, dtype=complex)
-    for tiling in tilings:
-        coeffs = np.array([2.0**n_s], dtype=complex)
-        for d in tiling.dominoes:
-            if variant == "A":
-                factor = -npoly.polymul([1.0, -1j * t[d]], [1.0, 1j * t[(d - 1) % L]])
-            else:
-                factor = np.array([-1.0, 0.0, 1.0])
-            coeffs = npoly.polymul(coeffs, factor)
-        total[: len(coeffs)] += coeffs
-    return total
-
-
 @dataclass(frozen=True)
 class CoefficientReport:
     """Outcome of comparing the two domino weightings coefficientwise in w."""
@@ -243,26 +237,26 @@ class CoefficientReport:
     passes: bool
 
 
-def coefficient_compare(L: int, n_s: int, method: str = "nodes") -> CoefficientReport:
+def coefficient_compare(L: int, n_s: int) -> CoefficientReport:
     """Compare variant A and B total weights of all star tilings with n_s squares.
 
     Both totals are polynomials in w of degree 2 n_d (n_d = (L - n_s) / 2
     dominos); they must agree coefficient by coefficient, and every odd power
-    of w must vanish.  ``method`` selects coefficient extraction by node
-    evaluation plus a Vandermonde solve ("nodes", default) or by direct
-    expansion of the linear factors ("product", the cross-check).
+    of w must vanish.  The coefficients are exact expansions, not fits: each
+    tiling's domino quadratics are multiplied out, one domino column of all
+    tilings at a time, and the products are summed over the tilings.
     """
     _check_L(L, MAX_COMPARE_L, "coefficient comparison")
     if n_s < 1 or n_s > L or (L - n_s) % 2:
         raise ValueError(f"n_s must be one of {{L, L-2, ..., 1}}, got {n_s}")
-    if method not in ("nodes", "product"):
-        raise ValueError(f"method must be 'nodes' or 'product', got {method!r}")
     n_d = (L - n_s) // 2
-    tilings = [t for t in enumerate_tilings(L, wrap=True) if len(t.dominoes) == n_d]
+    bits = _tiling_bits(L, wrap=True)
+    bits = bits[bits.sum(axis=1) == n_d]
     degree = 2 * n_d
-    extract = _variant_coeffs_nodes if method == "nodes" else _variant_coeffs_product
-    coeffs_a = extract(tilings, L, "A", n_s, degree)
-    coeffs_b = extract(tilings, L, "B", n_s, degree)
+    coeffs_a, coeffs_b = (
+        np.sum(_row_weights(bits, _domino_table(L, variant), 1.0, False), axis=0)[: degree + 1]
+        for variant in "AB"
+    )
     max_dev = float(np.max(np.abs(coeffs_a - coeffs_b)))
     max_odd = float(np.max(np.abs(coeffs_a[1::2]))) if degree >= 1 else 0.0
     return CoefficientReport(

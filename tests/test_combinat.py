@@ -38,6 +38,11 @@ class TestTiling:
             Tiling(L=5, dominoes=frozenset({1, 2}))
         with pytest.raises(ValueError):
             Tiling(L=5, dominoes=frozenset({0, 4}))
+        # positions and L must be integers; they are never truncated
+        for L, dominoes in ((5, {2.9}), (5, {1.5}), (5, {2.0}), (5.5, set()), (5.0, set())):
+            with pytest.raises(ValueError):
+                Tiling(L=L, dominoes=frozenset(dominoes))
+        assert Tiling(L=np.int64(5), dominoes=frozenset({np.int64(7)})) == Tiling(L=5, dominoes=frozenset({2}))
 
     def test_pieces_cover_every_position_once(self):
         for tiling in enumerate_tilings(7, wrap=True):
@@ -131,6 +136,28 @@ class TestTilingWeight:
         # position 0 contributes x, the others 2x
         assert tiling_weight(tiling, model) == pytest.approx(0.5 * 1.0 * 1.0)
 
+    def test_matches_per_piece_product(self):
+        # reference: the product of the piece weights taken one piece at a time
+        L, w, x = 7, 0.6, -0.7
+        t = [math.tan(n * math.pi / L) for n in range(L)]
+        tilings = enumerate_tilings(L, wrap=True)
+        # position 0 is covered by the domino at 1 (<1, 0>) or by the wrap domino at 0 (<0, 6>)
+        assert any(1 in tiling.dominoes for tiling in tilings)
+        assert any(0 in tiling.dominoes for tiling in tilings)
+        for variant in ("A", "B"):
+            for modified in (False, True):
+                model = WeightModel(variant=variant, w=w, x=x, modified=modified)
+                for tiling in tilings:
+                    ref = complex(1.0)
+                    for p in tiling.squares:
+                        ref *= x if (modified and p == 0) else 2.0 * x
+                    for d in tiling.dominoes:
+                        if variant == "A":
+                            ref *= -(1.0 - 1j * w * t[d]) * (1.0 + 1j * w * t[(d - 1) % L])
+                        else:
+                            ref *= -(1.0 - w) * (1.0 + w)
+                    assert abs(tiling_weight(tiling, model) - ref) <= 1e-14 * abs(ref)
+
     def test_rejects_unknown_variant(self):
         with pytest.raises(ValueError):
             WeightModel(variant="C", w=0.5, x=1.0)
@@ -207,13 +234,19 @@ class TestCoefficientCompare:
         assert report.max_deviation <= COEFF_TOL
         assert report.max_odd_coefficient <= COEFF_TOL
 
-    def test_methods_agree(self):
-        for L in (3, 5, 7):
+    def test_exact_reference(self):
+        # variant B weighs each of the `count` tilings 2^{n_s} (w^2 - 1)^{n_d}, so its
+        # coefficients are binomials; every variant-A domino has constant term -1
+        for L in range(3, 12, 2):
             for n_s in range(1, L + 1, 2):
-                nodes = coefficient_compare(L, n_s, method="nodes")
-                product = coefficient_compare(L, n_s, method="product")
-                assert np.max(np.abs(nodes.coeffs_a - product.coeffs_a)) <= 1e-9
-                assert np.max(np.abs(nodes.coeffs_b - product.coeffs_b)) <= 1e-9
+                n_d = (L - n_s) // 2
+                count = sum(1 for t in enumerate_tilings(L, wrap=True) if len(t.dominoes) == n_d)
+                report = coefficient_compare(L, n_s)
+                expected_b = np.zeros(2 * n_d + 1)
+                for j in range(n_d + 1):
+                    expected_b[2 * j] = count * 2**n_s * math.comb(n_d, j) * (-1) ** (n_d - j)
+                assert np.array_equal(report.coeffs_b, expected_b)
+                assert report.coeffs_a[0] == count * 2**n_s * (-1) ** n_d
 
     def test_full_grid(self):
         for L in (3, 5, 7, 9):
@@ -225,8 +258,6 @@ class TestCoefficientCompare:
             coefficient_compare(5, 2)
         with pytest.raises(ValueError):
             coefficient_compare(13, 1)
-        with pytest.raises(ValueError):
-            coefficient_compare(5, 1, method="magic")
 
 
 class TestTangentSum:
