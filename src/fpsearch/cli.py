@@ -95,11 +95,8 @@ def _sweep_rows(args, sched):
         raise ValueError(f"points must be in 2..1000000, got {args.points}")
     lams = np.linspace(args.lambda_min, args.lambda_max, args.points)
     closed = success_probability_closed(lams, sched.w, sched.l)
-    rows = []
-    for lam, p_closed in zip(lams.tolist(), closed.tolist()):
-        p_sim = abs(run_search(math.sqrt(max(0.0, 1.0 - lam * lam)), sched).t_amp)
-        rows.append((lam, p_sim, p_closed, abs(p_sim - p_closed)))
-    return rows
+    sim = np.abs(run_search(np.sqrt(np.maximum(0.0, 1.0 - lams * lams)), sched).t_amp)
+    return list(zip(lams.tolist(), sim.tolist(), closed.tolist(), np.abs(sim - closed).tolist()))
 
 
 def cmd_sweep(args) -> int:

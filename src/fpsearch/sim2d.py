@@ -11,8 +11,13 @@ quasi-Chebyshev value a_L(x), giving the closed-form success amplitude
 with gamma = sqrt(1 - w^2) and lambda = sqrt(1 - x^2).
 
 Global phases are kept throughout (the e^{i beta} factor is not dropped), so
-the matrix product matches the defining operator expression exactly; tests
+the simulation matches the defining operator expression exactly; tests
 compare magnitudes only.
+
+``run_search`` takes a scalar x or an array of x.  It applies the factors of
+``iteration_G`` to the two amplitudes as plain arithmetic, on Python complex
+numbers for a scalar and on numpy vectors for an array, so a whole lambda grid
+is one call.
 """
 
 from __future__ import annotations
@@ -31,18 +36,27 @@ from .schedule import AngleSchedule, check_w_l
 class TwoDimState:
     """Amplitudes on the unmarked (|r>) and marked (|t>) directions."""
 
-    r_amp: complex
-    t_amp: complex
+    r_amp: complex | np.ndarray
+    t_amp: complex | np.ndarray
 
-    def norm(self) -> float:
-        return math.hypot(abs(self.r_amp), abs(self.t_amp))
+    def norm(self):
+        """Euclidean norm, elementwise when the amplitudes are arrays."""
+        return np.hypot(np.abs(self.r_amp), np.abs(self.t_amp))
+
+
+# run_search slices an array of x into blocks of this many points, so that its
+# working vectors stay in cache; every update is elementwise, so the slicing
+# changes no value
+_BLOCK = 4096
 
 
 def _check_x(x, name: str = "x") -> None:
     # both overlaps, x and lambda, lie in [0, 1]; an array is checked by its extremes (NaN if any entry is)
     if isinstance(x, np.ndarray) and x.ndim:
-        for value in (np.min(x), np.max(x)):
-            _check_x(value, name)
+        # an empty array has nothing out of range, and no extremes to take
+        if x.size:
+            for value in (np.min(x), np.max(x)):
+                _check_x(value, name)
     elif not 0.0 <= x <= 1.0:
         raise ValueError(f"{name} must be in [0, 1], got {x}")
 
@@ -73,13 +87,41 @@ def iteration_G(x: float, alpha: float, beta: float) -> np.ndarray:
     return cmath.exp(1j * beta) * (R @ _marked_phase(beta) @ R @ _marked_phase(-alpha))
 
 
-def run_search(x: float, schedule: AngleSchedule) -> TwoDimState:
-    """Apply the scheduled iterations, index 1 first, to the initial state R(x)|r>."""
-    _check_x(x)
-    state = rotation_R(x)[:, 0].copy()
-    for k in range(schedule.l):
-        state = iteration_G(x, schedule.alpha[k], schedule.beta[k]) @ state
-    return TwoDimState(r_amp=complex(state[0]), t_amp=complex(state[1]))
+def _iterate(x, s, phases):
+    # the initial state R(x)|r> = (x, s), then per iteration the factors of
+    # iteration_G right to left; x and s are floats or equal-length complex vectors
+    r, t = x, s
+    for a, b_minus, b_plus in phases:
+        t = t * a
+        r, t = x * r + s * t, s * r - x * t
+        t = t * b_minus
+        r, t = x * r + s * t, s * r - x * t
+        r, t = r * b_plus, t * b_plus
+    return r, t
+
+
+def run_search(x, schedule: AngleSchedule) -> TwoDimState:
+    """Apply the scheduled iterations, index 1 first, to the initial state R(x)|r>.
+
+    A scalar x gives complex amplitudes; an array of x gives arrays of x's
+    shape, one simulation per entry.  s = sqrt(1 - x^2) is taken from x.
+    """
+    xs = np.asarray(x, dtype=float)
+    _check_x(xs)
+    ss = np.sqrt(np.maximum(0.0, 1.0 - xs * xs))
+    # rows (e^{i alpha_k}, e^{-i beta_k}, e^{i beta_k}), k = 1..l
+    phases = np.exp(1j * np.stack((schedule.alpha, -schedule.beta, schedule.beta), axis=1)).tolist()
+    if xs.ndim == 0:
+        r, t = _iterate(float(xs), float(ss), phases)
+        return TwoDimState(r_amp=complex(r), t_amp=complex(t))
+    xf, sf = xs.ravel(), ss.ravel()
+    r = np.empty(xf.size, dtype=complex)
+    t = np.empty(xf.size, dtype=complex)
+    for lo in range(0, xf.size, _BLOCK):
+        block = slice(lo, lo + _BLOCK)
+        # complex copies: numpy has no real-times-complex loop and would convert x and s at every product
+        r[block], t[block] = _iterate(xf[block].astype(complex), sf[block].astype(complex), phases)
+    return TwoDimState(r_amp=r.reshape(xs.shape), t_amp=t.reshape(xs.shape))
 
 
 def success_probability_closed(lam, w: float, l: int):

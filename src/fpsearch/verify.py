@@ -190,7 +190,7 @@ def check_three_way_agreement() -> CheckResult:
             sched = schedule.make_schedule(w, l)
             gamma = math.sqrt(1.0 - w * w)
             params = complexpoly.QuasiChebParams(gamma=gamma, L=sched.L)
-            sim = np.array([abs(sim2d.run_search(x, sched).r_amp) for x in xs])
+            sim = np.abs(sim2d.run_search(xs, sched).r_amp)
             rec = np.abs(complexpoly.quasi_cheb_recursive(params, xs))
             closed = np.abs(complexpoly.quasi_cheb_closed(params, xs))
             dev = max(dev, float(np.max(np.abs(sim - rec))), float(np.max(np.abs(sim - closed))))
@@ -198,11 +198,11 @@ def check_three_way_agreement() -> CheckResult:
 
 
 def check_unitarity() -> CheckResult:
+    xs = np.linspace(0.0, 1.0, 11)
     dev = 0.0
     for w in (0.1, 0.5, 0.9):
         sched = schedule.make_schedule(w, 6)
-        for x in np.linspace(0.0, 1.0, 11):
-            dev = max(dev, abs(sim2d.run_search(x, sched).norm() - 1.0))
+        dev = max(dev, float(np.max(np.abs(sim2d.run_search(xs, sched).norm() - 1.0))))
     return _result("run_search_unitarity", None, {}, dev, 1e-10)
 
 

@@ -86,6 +86,16 @@ class TestSweep:
         assert min(guarded) >= floor
         assert max(float(r[3]) for r in rows) <= 1e-9
 
+    def test_large_grid(self, capsys, tmp_path):
+        path = tmp_path / "sweep.csv"
+        code, _, _ = run_cli(
+            capsys, "sweep", "--output", str(path), "--w", "0.08", "--delta", "0.3", "--points", "50000"
+        )
+        assert code == EXIT_OK
+        lines = path.read_text().splitlines()
+        assert len(lines) == 50_001
+        assert max(float(line.rsplit(",", 1)[1]) for line in lines[1:]) <= 1e-9
+
     def test_bound_with_tighter_delta(self, capsys):
         code, out, _ = run_cli(
             capsys, "sweep", "--w", "0.3", "--delta", "0.1", "--points", "200"

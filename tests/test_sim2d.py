@@ -98,6 +98,59 @@ class TestRunSearch:
                 assert run_search(float(x), sched).norm() == pytest.approx(1.0, abs=1e-10)
 
 
+def _matrix_loop(x, sched):
+    # the operator product written out: R(x)|r>, then G_1 first
+    state = rotation_R(x)[:, 0].copy()
+    for alpha, beta in zip(sched.alpha, sched.beta):
+        state = iteration_G(x, alpha, beta) @ state
+    return state
+
+
+class TestRunSearchKernel:
+    SCHEDULES = [(0.5, 1), (0.08, 12), (0.01, 265)]
+
+    @pytest.mark.parametrize("w,l", SCHEDULES)
+    def test_matches_matrix_loop(self, w, l):
+        sched = make_schedule(w, l)
+        xs = np.linspace(0.0, 1.0, 200)
+        out = run_search(xs, sched)
+        ref = np.array([_matrix_loop(float(x), sched) for x in xs])
+        assert np.max(np.abs(out.r_amp - ref[:, 0])) <= 1e-13
+        assert np.max(np.abs(out.t_amp - ref[:, 1])) <= 1e-13
+
+    def test_blocks_bit_identical(self):
+        sched = make_schedule(0.08, 12)
+        xs = np.linspace(0.0, 1.0, 10_000)
+        whole = run_search(xs, sched)
+        for part in (slice(0, 4096), slice(4096, 8192), slice(8192, None), slice(1, 4097)):
+            piece = run_search(xs[part], sched)
+            assert np.array_equal(piece.r_amp, whole.r_amp[part])
+            assert np.array_equal(piece.t_amp, whole.t_amp[part])
+
+    def test_result_types_and_shapes(self):
+        sched = make_schedule(0.3, 4)
+        scalar = run_search(0.5, sched)
+        assert type(scalar.r_amp) is complex and type(scalar.t_amp) is complex
+        grid = run_search(np.full((2, 3), 0.5), sched)
+        assert grid.r_amp.shape == grid.t_amp.shape == grid.norm().shape == (2, 3)
+        empty = run_search(np.array([]), sched)
+        assert empty.r_amp.shape == empty.t_amp.shape == (0,)
+
+    @pytest.mark.parametrize("x", [1.5, math.nan, np.array([0.2, math.nan]), np.array([[0.5], [1.5]])])
+    def test_domain(self, x):
+        with pytest.raises(ValueError, match=r"x must be in \[0, 1\]"):
+            run_search(x, make_schedule(0.3, 4))
+
+    @pytest.mark.parametrize("w,l", SCHEDULES)
+    def test_scalar_matches_one_element(self, w, l):
+        sched = make_schedule(w, l)
+        for x in np.linspace(0.0, 1.0, 21):
+            scalar = run_search(float(x), sched)
+            one = run_search(np.array([x]), sched)
+            assert abs(scalar.r_amp - one.r_amp[0]) <= 1e-14
+            assert abs(scalar.t_amp - one.t_amp[0]) <= 1e-14
+
+
 class TestThreeWayAgreement:
     def test_grid(self):
         xs = np.linspace(0.0, 1.0, 50)
@@ -108,10 +161,9 @@ class TestThreeWayAgreement:
                 params = QuasiChebParams(gamma=gamma, L=sched.L)
                 closed = np.abs(quasi_cheb_closed(params, xs))
                 rec = np.abs(quasi_cheb_recursive(params, xs))
-                for x, ref, rec_x in zip(xs, closed, rec):
-                    sim = abs(run_search(float(x), sched).r_amp)
-                    assert abs(sim - rec_x) <= 1e-9
-                    assert abs(sim - ref) <= 1e-9
+                sim = np.abs(run_search(xs, sched).r_amp)
+                assert np.max(np.abs(sim - rec)) <= 1e-9
+                assert np.max(np.abs(sim - closed)) <= 1e-9
 
 
 class TestClosedFormProbability:
@@ -140,6 +192,10 @@ class TestClosedFormProbability:
     def test_domain(self, lam, w, l):
         with pytest.raises(ValueError):
             success_probability_closed(lam, w, l)
+
+    def test_empty_array(self):
+        out = success_probability_closed(np.array([]), 0.1, 3)
+        assert isinstance(out, np.ndarray) and out.shape == (0,)
 
     def test_array_matches_scalar(self):
         lams = np.linspace(0.0, 1.0, 101)
@@ -177,10 +233,9 @@ class TestClosedFormProbability:
         l = min_iterations(SearchParams(w=w, delta=delta))
         worst = np.min(success_probability_closed(np.linspace(w, 1.0, 400), w, l))
         assert worst >= math.sqrt(1.0 - delta * delta) - 1e-12
-        sched = make_schedule(w, l)
-        for lam in (w, w + u * (1.0 - w)):
-            sim = abs(run_search(math.sqrt(1.0 - lam * lam), sched).t_amp)
-            assert abs(sim - success_probability_closed(lam, w, l)) <= 1e-9
+        lams = np.array([w, w + u * (1.0 - w)])
+        sim = np.abs(run_search(np.sqrt(1.0 - lams * lams), make_schedule(w, l)).t_amp)
+        assert np.max(np.abs(sim - success_probability_closed(lams, w, l))) <= 1e-9
 
 
 class TestClassicGroverOptimal:
