@@ -7,6 +7,9 @@ identical flags produce byte-identical output.  Exit codes: 0 success,
 1 verification failure (a failed ``verify`` check, or a ``sweep`` or
 ``simulate`` sim-vs-closed gap above 1e-9), 2 usage error, 3 I/O error.
 
+The argument parser is built once per process, on the first ``main`` call,
+and reused; handlers look up this module's globals when they run.
+
 Range checks on the inputs live in the library.  This module checks only what
 the library never sees (format, lambda grid, flag combinations, the marked
 set's parsing and sampling) and turns every ``ValueError`` into
@@ -16,6 +19,7 @@ set's parsing and sampling) and turns every ``ValueError`` into
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import sys
@@ -71,8 +75,9 @@ def _schedule_from_args(args):
 
 
 def _gap_exit(errors) -> int:
+    errors = np.asarray(errors)
     # written as "not <=" so that a NaN gap fails too
-    bad = sum(1 for err in errors if not err <= SIM_CLOSED_TOL)
+    bad = np.count_nonzero(~(errors <= SIM_CLOSED_TOL))
     if not bad:
         return EXIT_OK
     print(f"FAILED sim_vs_closed: {bad} of {len(errors)} abs_err above {SIM_CLOSED_TOL:g}", file=sys.stderr)
@@ -86,7 +91,8 @@ def cmd_angles(args) -> int:
     return EXIT_OK
 
 
-def _sweep_rows(args, sched):
+def _sweep_rows(args, sched) -> np.ndarray:
+    # one row (lambda, p_sim, p_closed, abs_err) per grid point
     if not 0.0 <= args.lambda_min < args.lambda_max <= 1.0:
         raise ValueError(
             f"need 0 <= lambda-min < lambda-max <= 1, got [{args.lambda_min}, {args.lambda_max}]"
@@ -96,29 +102,26 @@ def _sweep_rows(args, sched):
     lams = np.linspace(args.lambda_min, args.lambda_max, args.points)
     closed = success_probability_closed(lams, sched.w, sched.l)
     sim = np.abs(run_search(np.sqrt(np.maximum(0.0, 1.0 - lams * lams)), sched).t_amp)
-    return list(zip(lams.tolist(), sim.tolist(), closed.tolist(), np.abs(sim - closed).tolist()))
+    return np.column_stack((lams, sim, closed, np.abs(sim - closed)))
 
 
 def cmd_sweep(args) -> int:
     fmt = _require_format(args, ("csv", "json"))
     sched = _schedule_from_args(args)
-    rows = _sweep_rows(args, sched)
+    table = _sweep_rows(args, sched)
     if fmt == "csv":
-        lines = ["lambda,p_sim,p_closed,abs_err"]
-        lines.extend(",".join(_fmt(v) for v in row) for row in rows)
-        _emit("\n".join(lines) + "\n", args.output)
+        # one %-format call for the whole text; "%.17g" prints a float exactly as _fmt does
+        template = "lambda,p_sim,p_closed,abs_err\n" + "%.17g,%.17g,%.17g,%.17g\n" * len(table)
+        _emit(template % tuple(table.ravel().tolist()), args.output)
     else:
-        payload = [
-            {"lambda": lam, "p_sim": ps, "p_closed": pc, "abs_err": err}
-            for lam, ps, pc, err in rows
-        ]
-        _emit(_json_text(payload), args.output)
-    guaranteed = [row[1] for row in rows if row[0] >= sched.w]
-    if guaranteed:
-        print(f"min P over lambda >= w={_fmt(sched.w)}: {_fmt(min(guaranteed))}", file=sys.stderr)
+        keys = ("lambda", "p_sim", "p_closed", "abs_err")
+        _emit(_json_text([dict(zip(keys, row)) for row in table.tolist()]), args.output)
+    guaranteed = table[table[:, 0] >= sched.w, 1]
+    if guaranteed.size:
+        print(f"min P over lambda >= w={_fmt(sched.w)}: {_fmt(guaranteed.min())}", file=sys.stderr)
     else:
         print(f"no grid points with lambda >= w={_fmt(sched.w)}", file=sys.stderr)
-    return _gap_exit([row[3] for row in rows])
+    return _gap_exit(table[:, 3])
 
 
 def cmd_simulate(args) -> int:
@@ -180,6 +183,7 @@ def cmd_verify(args) -> int:
     return EXIT_VERIFY_FAILED if failed else EXIT_OK
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="fpsearch",

@@ -10,14 +10,20 @@ quasi-Chebyshev value a_L(x), giving the closed-form success amplitude
 
 with gamma = sqrt(1 - w^2) and lambda = sqrt(1 - x^2).
 
-Global phases are kept throughout (the e^{i beta} factor is not dropped), so
-the simulation matches the defining operator expression exactly; tests
-compare magnitudes only.
+Global phases are kept (the e^{i beta} factor is not dropped), so the
+simulation matches the defining operator expression exactly; tests compare
+magnitudes only.
 
-``run_search`` takes a scalar x or an array of x.  It applies the factors of
-``iteration_G`` to the two amplitudes as plain arithmetic, on Python complex
-numbers for a scalar and on numpy vectors for an array, so a whole lambda grid
-is one call.
+``run_search`` takes a scalar x or an array of x, on Python complex numbers
+for a scalar and on numpy vectors for an array, so a whole lambda grid is one
+call.  It does not multiply the 2x2 factors of ``iteration_G``: since R(x) is
+a real involution with R|t> = psi = (s, -x),
+
+    R diag(1, e^{-i beta}) R = I + (e^{-i beta} - 1) psi psi^T,
+
+so after the marked phase e^{i alpha} on t each iteration is one reflection
+about psi, four vector updates.  The global factors e^{i beta_k} commute with
+everything, so their product multiplies both amplitudes once, at the end.
 """
 
 from __future__ import annotations
@@ -88,15 +94,16 @@ def iteration_G(x: float, alpha: float, beta: float) -> np.ndarray:
 
 
 def _iterate(x, s, phases):
-    # the initial state R(x)|r> = (x, s), then per iteration the factors of
-    # iteration_G right to left; x and s are floats or equal-length complex vectors
+    # the initial state R(x)|r> = (x, s), then per iteration t *= e^{i alpha_k}
+    # and the reflection about psi = (s, -x) with c_k = e^{-i beta_k} - 1; the
+    # global phase prod_k e^{i beta_k} is left to the caller.  x and s are
+    # floats or equal-length complex vectors
     r, t = x, s
-    for a, b_minus, b_plus in phases:
+    for a, c in phases:
         t = t * a
-        r, t = x * r + s * t, s * r - x * t
-        t = t * b_minus
-        r, t = x * r + s * t, s * r - x * t
-        r, t = r * b_plus, t * b_plus
+        p = c * (s * r - x * t)
+        r = r + s * p
+        t = t - x * p
     return r, t
 
 
@@ -109,11 +116,14 @@ def run_search(x, schedule: AngleSchedule) -> TwoDimState:
     xs = np.asarray(x, dtype=float)
     _check_x(xs)
     ss = np.sqrt(np.maximum(0.0, 1.0 - xs * xs))
-    # rows (e^{i alpha_k}, e^{-i beta_k}, e^{i beta_k}), k = 1..l
-    phases = np.exp(1j * np.stack((schedule.alpha, -schedule.beta, schedule.beta), axis=1)).tolist()
+    # pairs (e^{i alpha_k}, e^{-i beta_k} - 1), k = 1..l
+    beta_phase = np.exp(-1j * schedule.beta)
+    phases = list(zip(np.exp(1j * schedule.alpha).tolist(), (beta_phase - 1.0).tolist()))
+    # a product of unit phases: e^{i sum beta} would round a sum of size ~pi*l
+    glob = math.prod(beta_phase.tolist()).conjugate()
     if xs.ndim == 0:
         r, t = _iterate(float(xs), float(ss), phases)
-        return TwoDimState(r_amp=complex(r), t_amp=complex(t))
+        return TwoDimState(r_amp=glob * r, t_amp=glob * t)
     xf, sf = xs.ravel(), ss.ravel()
     r = np.empty(xf.size, dtype=complex)
     t = np.empty(xf.size, dtype=complex)
@@ -121,6 +131,8 @@ def run_search(x, schedule: AngleSchedule) -> TwoDimState:
         block = slice(lo, lo + _BLOCK)
         # complex copies: numpy has no real-times-complex loop and would convert x and s at every product
         r[block], t[block] = _iterate(xf[block].astype(complex), sf[block].astype(complex), phases)
+    r *= glob
+    t *= glob
     return TwoDimState(r_amp=r.reshape(xs.shape), t_amp=t.reshape(xs.shape))
 
 

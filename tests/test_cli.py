@@ -5,7 +5,7 @@ import math
 
 import pytest
 
-from fpsearch.cli import EXIT_IO, EXIT_OK, EXIT_USAGE, EXIT_VERIFY_FAILED, main
+from fpsearch.cli import EXIT_IO, EXIT_OK, EXIT_USAGE, EXIT_VERIFY_FAILED, build_parser, main
 from fpsearch.combinat import MAX_TANGENT_L
 
 
@@ -134,6 +134,19 @@ class TestSweep:
             "--lambda-min", "0.9", "--lambda-max", "0.1",
         )
         assert code == EXIT_USAGE
+
+    def test_csv_matches_json(self, capsys):
+        args = ("sweep", "--w", "0.01", "--delta", "0.01", "--points", "41")
+        code, csv_out, _ = run_cli(capsys, *args)
+        assert code == EXIT_OK
+        code, json_out, _ = run_cli(capsys, *args, "--format", "json")
+        assert code == EXIT_OK
+        lines = csv_out.splitlines()
+        rows = json.loads(json_out)
+        assert lines[0] == ",".join(rows[0])
+        assert rows[0]["lambda"] == 0.0 and rows[-1]["lambda"] == 1.0
+        assert all(row["abs_err"] == abs(row["p_sim"] - row["p_closed"]) for row in rows)
+        assert lines[1:] == [",".join(format(v, ".17g") for v in row.values()) for row in rows]
 
     def test_deterministic_output(self, capsys):
         args = ("sweep", "--w", "0.1", "--delta", "0.2", "--points", "50")
@@ -306,6 +319,22 @@ class TestParser:
     def test_no_arguments(self, capsys):
         code, _, _ = run_cli(capsys)
         assert code == EXIT_USAGE
+
+    def test_cached_parser_leaks_no_state(self, capsys):
+        assert build_parser() is build_parser()
+        calls = [
+            ("simulate", "--w", "0.5", "--l", "1", "--lambda", "0.3"),
+            ("simulate", "--w", "0.08", "--delta", "0.3", "--lambda", "0.2"),
+            ("simulate", "--w", "0.08", "--lambda", "0.2"),
+            ("sweep", "--w", "0.08", "--delta", "0.3", "--points", "50"),
+        ]
+        fresh = []
+        for argv in calls:
+            build_parser.cache_clear()
+            fresh.append(run_cli(capsys, *argv)[:2])
+        build_parser.cache_clear()
+        assert [run_cli(capsys, *argv)[:2] for argv in calls] == fresh
+        assert fresh[2][0] == EXIT_USAGE
 
     def test_verify_failure_exit_code_is_distinct(self):
         assert EXIT_VERIFY_FAILED == 1
