@@ -7,8 +7,13 @@ identical flags produce byte-identical output.  Exit codes: 0 success,
 1 verification failure (a failed ``verify`` check, or a ``sweep`` or
 ``simulate`` sim-vs-closed gap above 1e-9), 2 usage error, 3 I/O error.
 
-The argument parser is built once per process, on the first ``main`` call,
-and reused; handlers look up this module's globals when they run.
+``main(argv)`` is also the in-process entry point: it returns the exit code
+instead of exiting, and ``perfbench``'s worker loop, the test suite and
+Python scripts call it many times in one process.  The argument parser is
+built once per process, on the first ``main`` call, and reused, so those
+calls skip the argparse rebuild and hold no parser per call; a single
+``fpsearch`` run builds it once either way.  Handlers look up this module's
+globals when they run.
 
 Range checks on the inputs live in the library.  This module checks only what
 the library never sees (format, lambda grid, flag combinations, the marked

@@ -288,17 +288,10 @@ def _check_subsets(L: int, subsets) -> np.ndarray:
     k = arr.shape[-1]
     if not 1 <= k <= L:
         raise ValueError(f"subset size must be in 1..{L}, got {k}")
-    if arr.ndim == 1:
-        # one subset: checked on Python ints, which is cheaper than array reductions and a sort
-        entries = arr.tolist()
-        if min(entries) < 0 or max(entries) >= L:
-            raise ValueError(f"subset entries must lie in [0, {L})")
-        if len(set(entries)) < k:
-            raise ValueError("subset entries must be distinct")
-        return arr
-    if np.any((arr < 0) | (arr >= L)):
+    rows = arr.reshape(-1, k)
+    if np.any((rows < 0) | (rows >= L)):
         raise ValueError(f"subset entries must lie in [0, {L})")
-    ordered = np.sort(arr, axis=1)
+    ordered = np.sort(rows, axis=1)
     if np.any(ordered[:, 1:] == ordered[:, :-1]):
         raise ValueError("subset entries must be distinct")
     return arr
@@ -311,19 +304,17 @@ def tangent_sum_terms(L: int, subsets) -> np.ndarray:
     array, or an (S, k) integer array of S subsets of equal size k, giving
     an (S, L) array whose row s holds the shift products of subset s.  One
     tangent table serves the whole batch, and the products are taken one
-    subset column at a time, so temporaries stay O(S L).  A single subset
-    is gathered as one (k, L) array and reduced with one product.
+    subset column at a time, so temporaries stay O(S L).
     """
     _check_L(L, MAX_TANGENT_L, "the tangent sum")
     idx = _check_subsets(L, subsets)
+    rows = idx.reshape(-1, idx.shape[-1])
     t = 1j * tan_table(L)
     shifts = np.arange(L)
-    if idx.ndim == 1:
-        return t[(idx[:, None] + shifts) % L].prod(axis=0)
-    out = np.ones((idx.shape[0], L), dtype=complex)
-    for column in idx.T:
+    out = np.ones((rows.shape[0], L), dtype=complex)
+    for column in rows.T:
         out *= t[(column[:, None] + shifts) % L]
-    return out
+    return out if idx.ndim == 2 else out[0]
 
 
 def tangent_sum(L: int, subset) -> complex:
