@@ -42,18 +42,21 @@ EXIT_USAGE = 2
 EXIT_IO = 3
 
 SIM_CLOSED_TOL = 1e-9
+CSV_BLOCK_ROWS = 4096
 
 
 def _fmt(value: float) -> str:
     return format(value, ".17g")
 
 
-def _emit(text: str, path) -> None:
+def _emit(text, path) -> None:
+    # text is one string or an iterable of string chunks, written in order
+    chunks = (text,) if isinstance(text, str) else text
     if path is None:
-        sys.stdout.write(text)
+        sys.stdout.writelines(chunks)
     else:
         with open(path, "w", encoding="utf-8") as fh:
-            fh.write(text)
+            fh.writelines(chunks)
 
 
 def _json_text(payload) -> str:
@@ -110,14 +113,21 @@ def _sweep_rows(args, sched) -> np.ndarray:
     return np.column_stack((lams, sim, closed, np.abs(sim - closed)))
 
 
+def _csv_chunks(table):
+    # one %-format call per block of CSV_BLOCK_ROWS rows, so that a large grid never
+    # holds all of its text at once; "%.17g" prints a float exactly as _fmt does
+    yield "lambda,p_sim,p_closed,abs_err\n"
+    for start in range(0, len(table), CSV_BLOCK_ROWS):
+        block = table[start:start + CSV_BLOCK_ROWS]
+        yield ("%.17g,%.17g,%.17g,%.17g\n" * len(block)) % tuple(block.ravel().tolist())
+
+
 def cmd_sweep(args) -> int:
     fmt = _require_format(args, ("csv", "json"))
     sched = _schedule_from_args(args)
     table = _sweep_rows(args, sched)
     if fmt == "csv":
-        # one %-format call for the whole text; "%.17g" prints a float exactly as _fmt does
-        template = "lambda,p_sim,p_closed,abs_err\n" + "%.17g,%.17g,%.17g,%.17g\n" * len(table)
-        _emit(template % tuple(table.ravel().tolist()), args.output)
+        _emit(_csv_chunks(table), args.output)
     else:
         keys = ("lambda", "p_sim", "p_closed", "abs_err")
         _emit(_json_text([dict(zip(keys, row)) for row in table.tolist()]), args.output)

