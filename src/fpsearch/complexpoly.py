@@ -17,6 +17,7 @@ of ``complex128`` indexed by degree.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -42,8 +43,13 @@ class QuasiChebParams:
 
     def __post_init__(self):
         check_gamma(self.gamma)
-        if self.L < 1 or self.L % 2 == 0:
-            raise ValueError(f"L must be a positive odd integer, got {self.L}")
+        try:
+            L = operator.index(self.L)
+        except TypeError:
+            raise ValueError(f"L must be a positive odd integer, got {self.L!r}") from None
+        if L < 1 or L % 2 == 0:
+            raise ValueError(f"L must be a positive odd integer, got {L}")
+        object.__setattr__(self, "L", L)
 
     @property
     def l(self) -> int:

@@ -19,6 +19,7 @@ Chebyshev ratio.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -30,10 +31,16 @@ MAX_ITERATIONS = (EVAL_MAX_DEGREE - 1) // 2
 
 
 def check_w_l(w: float, l: int | None = None) -> None:
-    """Reject w outside (0, 1) and, when given, l outside 1..MAX_ITERATIONS."""
+    """Reject w outside (0, 1) and, when given, l that is not an integer in 1..MAX_ITERATIONS."""
     if not 0.0 < w < 1.0:
         raise ValueError(f"w must be in (0, 1), got {w}")
-    if l is not None and not 1 <= l <= MAX_ITERATIONS:
+    if l is None:
+        return
+    try:
+        operator.index(l)
+    except TypeError:
+        raise ValueError(f"l must be an integer, got {l!r}") from None
+    if not 1 <= l <= MAX_ITERATIONS:
         raise ValueError(f"l must be in 1..{MAX_ITERATIONS}, got {l}")
 
 
@@ -114,7 +121,7 @@ def make_schedule(w: float, l: int, delta: float | None = None) -> AngleSchedule
     alpha = 2.0 * arccot(t[1::2])
     beta = -2.0 * arccot(t[2::2])
     phi = 2.0 * np.arctan(t[1:])
-    return AngleSchedule(w=w, l=l, alpha=alpha, beta=beta, phi=phi, delta=delta)
+    return AngleSchedule(w=w, l=operator.index(l), alpha=alpha, beta=beta, phi=phi, delta=delta)
 
 
 def schedule_for(params: SearchParams) -> AngleSchedule:

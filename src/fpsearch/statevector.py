@@ -5,7 +5,8 @@ schedule is applied to the full amplitude vector, with the marked-state phase
 shift available both as a direct diagonal and as the two-call construction
 through a bit-flip oracle and an ancilla qubit.
 
-States are value-semantic: every operation returns a new StateVector.  This
+The public operations are value-semantic: each returns a new StateVector.
+run_full_search alone keeps one private buffer and steps it in place.  This
 module reports probabilities (squared norms); the 2-D simulator reports
 amplitude norms, so conversions at comparison sites are explicit.
 """
@@ -14,6 +15,7 @@ from __future__ import annotations
 
 import cmath
 import math
+import operator
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -43,8 +45,13 @@ class MarkedSet:
     n_qubits: int
 
     def __post_init__(self):
-        dim = 1 << self.n_qubits
-        idx = tuple(sorted(int(i) for i in self.indices))
+        try:
+            n, idx = operator.index(self.n_qubits), tuple(sorted(operator.index(i) for i in self.indices))
+        except TypeError:
+            raise ValueError(
+                f"n_qubits and marked indices must be integers, got {self.n_qubits!r}, {self.indices!r}"
+            ) from None
+        dim = 1 << n
         if len(idx) == 0:
             raise ValueError("marked set must be non-empty")
         if len(set(idx)) != len(idx):
@@ -53,6 +60,7 @@ class MarkedSet:
             raise ValueError(f"marked indices must lie in [0, {dim})")
         if len(idx) >= dim:
             raise ValueError("marked set must be a proper subset of the basis")
+        object.__setattr__(self, "n_qubits", n)
         object.__setattr__(self, "indices", idx)
 
     @property
@@ -117,21 +125,6 @@ def apply_marked_phase_via_oracle(
     return StateVector(amps=full[:dim], n_qubits=state.n_qubits)
 
 
-def apply_init_phase(state: StateVector, psi0: StateVector, beta: float) -> StateVector:
-    """Phase shift e^{i beta} along psi0: state - (1 - e^{i beta}) <psi0|state> psi0."""
-    if state.n_qubits != psi0.n_qubits:
-        raise ValueError("state and psi0 act on different registers")
-    overlap = np.vdot(psi0.amps, state.amps)
-    amps = state.amps - (1.0 - cmath.exp(1j * beta)) * overlap * psi0.amps
-    return StateVector(amps=amps, n_qubits=state.n_qubits)
-
-
-def success_probability(state: StateVector, marked: MarkedSet) -> float:
-    """Total probability on the marked indices."""
-    _check_compatible(state, marked)
-    return float(np.sum(np.abs(state.amps[list(marked.indices)]) ** 2))
-
-
 class FullSearchResult(NamedTuple):
     success_probability: float
     phase_oracle_calls: int
@@ -143,17 +136,22 @@ def run_full_search(
 ) -> FullSearchResult:
     """Run the scheduled search on the full register from the uniform state.
 
+    One buffer a, copied from psi0, is stepped in place; step k applies
+    a[M] *= e^{i alpha_k}, then a -= (1 - e^{i beta_k}) <psi0|a> psi0.
+
     Returns the final marked probability together with the oracle budget the
     run would cost on hardware: one phase-oracle call per iteration, each
     worth two standard bit-flip oracle calls.
     """
-    psi0 = init_uniform(n_qubits)
-    state = psi0
-    for k in range(schedule.l):
-        state = apply_marked_phase(state, marked, schedule.alpha[k])
-        state = apply_init_phase(state, psi0, schedule.beta[k])
+    state = init_uniform(n_qubits)
+    _check_compatible(state, marked)
+    psi0, amps = state.amps, state.amps.copy()
+    idx = np.array(marked.indices, dtype=np.intp)
+    for alpha, beta in zip(schedule.alpha, schedule.beta):
+        amps[idx] *= cmath.exp(1j * alpha)
+        amps -= (1.0 - cmath.exp(1j * beta)) * np.vdot(psi0, amps) * psi0
     return FullSearchResult(
-        success_probability=success_probability(state, marked),
+        success_probability=float(np.sum(np.abs(amps[idx]) ** 2)),
         phase_oracle_calls=schedule.l,
         standard_oracle_calls=2 * schedule.l,
     )

@@ -97,6 +97,15 @@ class TestParams:
         with pytest.raises(ValueError):
             QuasiChebParams(gamma=0.5, L=4)
 
+    @pytest.mark.parametrize("L", [5.5, 5.0])
+    def test_rejects_non_integer_degree(self, L):
+        with pytest.raises(ValueError, match=f"L must be a positive odd integer, got {L}"):
+            QuasiChebParams(gamma=0.5, L=L)
+
+    def test_accepts_numpy_integer_degree(self):
+        params = QuasiChebParams(gamma=0.5, L=np.int64(5))
+        assert params.L == 5 and type(params.L) is int
+
     def test_half_degree(self):
         assert QuasiChebParams(gamma=0.5, L=9).l == 4
 

@@ -117,6 +117,17 @@ class TestMakeSchedule:
         with pytest.raises(ValueError):
             make_schedule(w, l)
 
+    @pytest.mark.parametrize("l", [2.5, 2.0])
+    def test_rejects_non_integer_l(self, l):
+        with pytest.raises(ValueError, match=f"l must be an integer, got {l}"):
+            make_schedule(0.3, l)
+
+    def test_accepts_numpy_integer_l(self):
+        sched = make_schedule(0.3, np.int64(5))
+        assert type(sched.l) is int and sched.L == 11
+        assert np.array_equal(sched.alpha, make_schedule(0.3, 5).alpha)
+        json.dumps(sched.to_dict())
+
     def test_iteration_cap_matches_evaluation_cap(self):
         # L = 2l + 1 of the longest schedule is the largest odd degree chebyshev_T evaluates
         assert MAX_ITERATIONS == 49_999

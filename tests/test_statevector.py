@@ -5,18 +5,16 @@ import math
 import numpy as np
 import pytest
 
-from fpsearch.schedule import SearchParams, make_schedule, min_iterations
+from fpsearch.schedule import AngleSchedule, SearchParams, make_schedule, min_iterations
 from fpsearch.sim2d import run_search
 from fpsearch.statevector import (
     MAX_QUBITS,
     MarkedSet,
     StateVector,
-    apply_init_phase,
     apply_marked_phase,
     apply_marked_phase_via_oracle,
     init_uniform,
     run_full_search,
-    success_probability,
 )
 
 
@@ -65,6 +63,20 @@ class TestMarkedSet:
             MarkedSet(indices=(4,), n_qubits=2)
         with pytest.raises(ValueError):
             MarkedSet(indices=(1, 1), n_qubits=2)
+
+    @pytest.mark.parametrize("indices", [(2.9, 5.5), (2.0,)])
+    def test_rejects_non_integer_indices(self, indices):
+        with pytest.raises(ValueError, match="must be integers"):
+            MarkedSet(indices=indices, n_qubits=3)
+
+    def test_rejects_non_integer_register(self):
+        with pytest.raises(ValueError, match="got 2.5"):
+            MarkedSet(indices=(1,), n_qubits=2.5)
+
+    def test_accepts_numpy_integers(self):
+        marked = MarkedSet(indices=tuple(np.array([5, 2])), n_qubits=np.int64(3))
+        assert marked.indices == (2, 5) and marked.n_qubits == 3
+        assert all(type(i) is int for i in (*marked.indices, marked.n_qubits))
 
 
 class TestMarkedPhase:
@@ -121,30 +133,6 @@ class TestOracleConstruction:
             apply_marked_phase_via_oracle(init_uniform(2), marked, math.nan)
 
 
-class TestInitPhase:
-    def test_zero_angle(self):
-        state = random_state(3, seed=6)
-        out = apply_init_phase(state, init_uniform(3), 0.0)
-        assert np.max(np.abs(out.amps - state.amps)) <= 1e-15
-
-    def test_eigenvector(self):
-        psi0 = init_uniform(4)
-        out = apply_init_phase(psi0, psi0, 0.77)
-        assert np.max(np.abs(out.amps - np.exp(1j * 0.77) * psi0.amps)) <= 1e-12
-
-    def test_orthogonal_component_untouched(self):
-        psi0 = init_uniform(2)
-        amps = np.array([1.0, -1.0, 0.0, 0.0], dtype=complex) / math.sqrt(2.0)
-        state = StateVector(amps=amps, n_qubits=2)
-        out = apply_init_phase(state, psi0, 2.3)
-        assert np.max(np.abs(out.amps - amps)) <= 1e-15
-
-    def test_norm_preserved(self):
-        state = random_state(5, seed=7)
-        out = apply_init_phase(state, init_uniform(5), -1.9)
-        assert out.norm() == pytest.approx(1.0, abs=1e-12)
-
-
 class TestFullSearch:
     def test_nearly_all_marked(self):
         marked = MarkedSet(indices=tuple(range(1, 16)), n_qubits=4)
@@ -194,14 +182,23 @@ class TestFullSearch:
                 two_dim = abs(run_search(x, sched).t_amp)
                 assert abs(math.sqrt(result.success_probability) - two_dim) <= 1e-10
 
-    def test_norm_conserved_through_iterations(self):
-        marked = MarkedSet(indices=(4, 9), n_qubits=5)
-        psi0 = init_uniform(5)
-        state = psi0
-        sched = make_schedule(0.15, 6)
-        for k in range(sched.l):
-            state = apply_marked_phase(state, marked, sched.alpha[k])
-            assert state.norm() == pytest.approx(1.0, abs=1e-10)
-            state = apply_init_phase(state, psi0, sched.beta[k])
-            assert state.norm() == pytest.approx(1.0, abs=1e-10)
-        assert success_probability(state, marked) <= 1.0 + 1e-12
+    def test_register_mismatch_raises(self):
+        marked = MarkedSet(indices=(1,), n_qubits=4)
+        with pytest.raises(ValueError, match="different registers"):
+            run_full_search(3, marked, make_schedule(0.3, 2))
+
+    def test_zero_marked_phase_leaves_uniform_overlap(self):
+        # psi0 is an eigenvector of every init phase, so with alpha = 0 the run
+        # only rephases psi0 and P stays lambda^2
+        rng = np.random.default_rng(12)
+        l = 7
+        sched = AngleSchedule(
+            w=0.2,
+            l=l,
+            alpha=np.zeros(l),
+            beta=rng.uniform(-math.pi, math.pi, size=l),
+            phi=np.zeros(2 * l),
+        )
+        marked = MarkedSet(indices=(3, 17, 30), n_qubits=5)
+        result = run_full_search(5, marked, sched)
+        assert abs(result.success_probability - marked.lam**2) <= 1e-12
