@@ -41,9 +41,15 @@ MAX_VIETA_L = 15
 COEFF_TOL = 1e-8
 
 
-def _check_L(L: int, cap: int, what: str) -> None:
+def _check_L(L: int, cap: int, what: str) -> int:
+    # L as a Python int; a float is never truncated, not even an integral one
+    try:
+        L = operator.index(L)
+    except TypeError:
+        raise ValueError(f"{what} supports odd L in 3..{cap}, got {L!r}") from None
     if L % 2 == 0 or not 3 <= L <= cap:
         raise ValueError(f"{what} supports odd L in 3..{cap}, got {L}")
+    return L
 
 
 def _check_variant(variant: str) -> None:
@@ -145,7 +151,7 @@ def enumerate_tilings(L: int, wrap: bool) -> list:
     Exhaustive and duplicate-free, in increasing order of the domino bitmask.
     The line variant forbids the domino covering <0, L-1>.
     """
-    _check_L(L, MAX_ENUM_L, "enumeration")
+    L = _check_L(L, MAX_ENUM_L, "enumeration")
     bits = _tiling_bits(L, wrap)
     return [Tiling(L=L, dominoes=frozenset(np.flatnonzero(row).tolist())) for row in bits]
 
@@ -202,7 +208,7 @@ def tiling_weight(tiling: Tiling, model: WeightModel) -> complex:
 
 def _total_weight(L: int, gamma: float, x: float, wrap: bool) -> complex:
     # variant A; the cut-open line (wrap=False) takes the modified squares
-    _check_L(L, MAX_WEIGHT_L, "the weight total")
+    L = _check_L(L, MAX_WEIGHT_L, "the weight total")
     check_gamma(gamma)
     dom = _domino_table(L, "A", math.sqrt(1.0 - gamma * gamma))
     return complex(np.sum(_row_weights(_tiling_bits(L, wrap), dom, x, not wrap)[:, 0]))
@@ -246,7 +252,11 @@ def coefficient_compare(L: int, n_s: int) -> CoefficientReport:
     tiling's domino quadratics are multiplied out, one domino column of all
     tilings at a time, and the products are summed over the tilings.
     """
-    _check_L(L, MAX_COMPARE_L, "coefficient comparison")
+    L = _check_L(L, MAX_COMPARE_L, "coefficient comparison")
+    try:
+        n_s = operator.index(n_s)
+    except TypeError:
+        raise ValueError(f"n_s must be one of {{L, L-2, ..., 1}}, got {n_s!r}") from None
     if n_s < 1 or n_s > L or (L - n_s) % 2:
         raise ValueError(f"n_s must be one of {{L, L-2, ..., 1}}, got {n_s}")
     n_d = (L - n_s) // 2
@@ -306,7 +316,7 @@ def tangent_sum_terms(L: int, subsets) -> np.ndarray:
     tangent table serves the whole batch, and the products are taken one
     subset column at a time, so temporaries stay O(S L).
     """
-    _check_L(L, MAX_TANGENT_L, "the tangent sum")
+    L = _check_L(L, MAX_TANGENT_L, "the tangent sum")
     idx = _check_subsets(L, subsets)
     rows = idx.reshape(-1, idx.shape[-1])
     t = 1j * tan_table(L)
@@ -329,7 +339,11 @@ def tangent_sum(L: int, subset) -> complex:
 
 def vieta_terms(L: int, k: int) -> np.ndarray:
     """Products prod i tan(d pi / L) over every k-subset of [L]."""
-    _check_L(L, MAX_VIETA_L, "the subset sum")
+    L = _check_L(L, MAX_VIETA_L, "the subset sum")
+    try:
+        k = operator.index(k)
+    except TypeError:
+        raise ValueError(f"k must be in 0..{L}, got {k!r}") from None
     if not 0 <= k <= L:
         raise ValueError(f"k must be in 0..{L}, got {k}")
     t = 1j * tan_table(L)

@@ -82,6 +82,10 @@ def chebyshev_T(L: int, x):
     outside.  Both branches stay accurate at degrees where the monomial
     expansion of T_L has long lost all its digits.
     """
+    try:
+        L = operator.index(L)
+    except TypeError:
+        raise ValueError(f"degree must be an integer, got {L!r}") from None
     if L < 0:
         raise ValueError(f"degree must be >= 0, got {L}")
     if L > EVAL_MAX_DEGREE:

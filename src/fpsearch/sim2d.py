@@ -10,14 +10,19 @@ quasi-Chebyshev value a_L(x), giving the closed-form success amplitude
 
 with gamma = sqrt(1 - w^2) and lambda = sqrt(1 - x^2).
 
-Global phases are kept (the e^{i beta} factor is not dropped), so the
-simulation matches the defining operator expression exactly; tests compare
-magnitudes only.
+With s = sqrt(1 - x^2) and the real involution R(x) = [[x, s], [s, -x]],
+which sends |r> to the initial state R(x)|r> = (x, s), iteration k is
+
+    e^{i beta_k} R(x) diag(1, e^{-i beta_k}) R(x) diag(1, e^{i alpha_k}),
+
+the marked-state phase shift by alpha_k followed by the initial-state phase
+shift by beta_k.  Global phases are kept (the e^{i beta} factor is not
+dropped), so the simulation matches this operator expression exactly; tests
+compare magnitudes only.
 
 ``run_search`` takes a scalar x or an array of x, on Python complex numbers
 for a scalar and on numpy vectors for an array, so a whole lambda grid is one
-call.  It does not multiply the 2x2 factors of ``iteration_G``: since R(x) is
-a real involution with R|t> = psi = (s, -x),
+call.  It does not multiply these 2x2 factors: since R|t> = psi = (s, -x),
 
     R diag(1, e^{-i beta}) R = I + (e^{-i beta} - 1) psi psi^T,
 
@@ -28,7 +33,6 @@ everything, so their product multiplies both amplitudes once, at the end.
 
 from __future__ import annotations
 
-import cmath
 import math
 from dataclasses import dataclass
 
@@ -67,32 +71,6 @@ def _check_x(x, name: str = "x") -> None:
         raise ValueError(f"{name} must be in [0, 1], got {x}")
 
 
-def rotation_R(x: float) -> np.ndarray:
-    """Reflection sending |r> to the initial state: [[x, s], [s, -x]], s = sqrt(1-x^2).
-
-    Real, symmetric and involutive.
-    """
-    _check_x(x)
-    s = math.sqrt(max(0.0, 1.0 - x * x))
-    return np.array([[x, s], [s, -x]], dtype=complex)
-
-
-def _marked_phase(phi: float) -> np.ndarray:
-    # diag(1, e^{-i phi}): phase on the marked direction only
-    return np.array([[1.0, 0.0], [0.0, cmath.exp(-1j * phi)]], dtype=complex)
-
-
-def iteration_G(x: float, alpha: float, beta: float) -> np.ndarray:
-    """One generalized iteration restricted to the invariant plane.
-
-    Equals e^{i beta} R(x) diag(1, e^{-i beta}) R(x) diag(1, e^{i alpha}),
-    i.e. the initial-state phase shift by beta composed with the marked-state
-    phase shift by alpha.  Unitary for all inputs.
-    """
-    R = rotation_R(x)
-    return cmath.exp(1j * beta) * (R @ _marked_phase(beta) @ R @ _marked_phase(-alpha))
-
-
 def _iterate(x, s, phases):
     # the initial state R(x)|r> = (x, s), then per iteration t *= e^{i alpha_k}
     # and the reflection about psi = (s, -x) with c_k = e^{-i beta_k} - 1; the
@@ -120,7 +98,7 @@ def run_search(x, schedule: AngleSchedule) -> TwoDimState:
     beta_phase = np.exp(-1j * schedule.beta)
     phases = list(zip(np.exp(1j * schedule.alpha).tolist(), (beta_phase - 1.0).tolist()))
     # a product of unit phases: e^{i sum beta} would round a sum of size ~pi*l
-    glob = math.prod(beta_phase.tolist()).conjugate()
+    glob = complex(math.prod(beta_phase.tolist())).conjugate()
     if xs.ndim == 0:
         r, t = _iterate(float(xs), float(ss), phases)
         return TwoDimState(r_amp=glob * r, t_amp=glob * t)

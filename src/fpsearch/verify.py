@@ -14,6 +14,7 @@ becomes the ``max_deviation`` and fails the check.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -224,13 +225,11 @@ def check_fixed_point_guarantee() -> CheckResult:
 def check_classic_grover_stop() -> CheckResult:
     devs = []
     for lam in np.linspace(0.02, 0.98, 25):
-        x = math.sqrt(1.0 - lam * lam)
-        steps = sim2d.classic_grover_optimal(lam)
-        g = sim2d.iteration_G(x, math.pi, math.pi)
-        state = np.array([x, lam], dtype=complex)
-        for _ in range(steps):
-            state = g @ state
-        prob = abs(state[1]) ** 2
+        # the plain search: alpha_k = beta_k = pi, stopped at the optimal count
+        l = sim2d.classic_grover_optimal(lam)
+        pi = np.full(l, math.pi)
+        plain = schedule.AngleSchedule(w=lam, l=l, alpha=pi, beta=pi, phi=np.zeros(2 * l))
+        prob = abs(sim2d.run_search(math.sqrt(1.0 - lam * lam), plain).t_amp) ** 2
         devs.append(max(1.0 - lam * lam, lam * lam) - prob)
     return _result("classic_grover_stop", None, {}, devs, 1e-12)
 
@@ -404,6 +403,10 @@ def check_tangent_subtraction(rng) -> CheckResult:
 
 def run_verification(max_L: int = 9, seed: int = 42) -> list:
     """Run every invariant check; max_L bounds the enumeration-based grids."""
+    try:
+        max_L = operator.index(max_L)
+    except TypeError:
+        raise ValueError(f"max_L must be an integer, got {max_L!r}") from None
     if max_L % 2 == 0:
         raise ValueError(f"max_L must be odd, got {max_L}")
     if not 3 <= max_L <= combinat.MAX_TANGENT_L:

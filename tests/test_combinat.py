@@ -87,7 +87,7 @@ class TestEnumeration:
         assert sum(1 for t in tilings if len(t.dominoes) == 2) == 5
 
     def test_capability_bounds(self):
-        for L in (1, 2, 4, 17):
+        for L in (1, 2, 4, 17, 9.0):
             with pytest.raises(ValueError):
                 enumerate_tilings(L, wrap=True)
 
@@ -164,6 +164,11 @@ class TestTilingWeight:
 
 
 class TestWeightTotals:
+    def test_domain(self):
+        for total in (total_star_weight, total_line_weight):
+            with pytest.raises(ValueError, match="got 9.0"):
+                total(9.0, 0.5, 0.3)
+
     def test_star_gamma_one_is_chebyshev(self):
         for x in np.linspace(-1.0, 1.0, 9):
             got = total_star_weight(3, 1.0, float(x))
@@ -258,6 +263,8 @@ class TestCoefficientCompare:
             coefficient_compare(5, 2)
         with pytest.raises(ValueError):
             coefficient_compare(13, 1)
+        with pytest.raises(ValueError, match="got 3.0"):
+            coefficient_compare(9, 3.0)
 
 
 class TestTangentSum:
@@ -371,6 +378,8 @@ class TestVietaSum:
             vieta_sum(5, 6)
         with pytest.raises(ValueError):
             vieta_sum(17, 1)
+        with pytest.raises(ValueError, match="got 2.0"):
+            vieta_terms(9, 2.0)
 
 
 class TestRotationsAndReflection:

@@ -85,6 +85,11 @@ class TestChebyshevT:
         with pytest.raises(ValueError):
             chebyshev_T(-1, 0.5)
 
+    @pytest.mark.parametrize("L", [5.5, 5.0])
+    def test_rejects_non_integer_degree(self, L):
+        with pytest.raises(ValueError, match=f"degree must be an integer, got {L}"):
+            chebyshev_T(L, 0.3)
+
 
 class TestParams:
     def test_rejects_bad_gamma(self):

@@ -1,5 +1,6 @@
 """Unit tests for the invariant-subspace simulator."""
 
+import cmath
 import math
 
 import numpy as np
@@ -13,14 +14,40 @@ from fpsearch.complexpoly import (
     quasi_cheb_closed,
     quasi_cheb_recursive,
 )
-from fpsearch.schedule import SearchParams, make_schedule, min_iterations
-from fpsearch.sim2d import (
-    classic_grover_optimal,
-    iteration_G,
-    rotation_R,
-    run_search,
-    success_probability_closed,
-)
+from fpsearch.schedule import AngleSchedule, SearchParams, make_schedule, min_iterations
+from fpsearch.sim2d import classic_grover_optimal, run_search, success_probability_closed
+
+# The operator product written out as 2x2 matrices: the reference that
+# run_search's reflection kernel is checked against.
+
+
+def rotation_R(x):
+    # [[x, s], [s, -x]] with s = sqrt(1 - x^2): real, symmetric and involutive;
+    # it sends |r> to the initial state
+    s = math.sqrt(max(0.0, 1.0 - x * x))
+    return np.array([[x, s], [s, -x]], dtype=complex)
+
+
+def iteration_G(x, alpha, beta):
+    # e^{i beta} R(x) diag(1, e^{-i beta}) R(x) diag(1, e^{i alpha})
+    R = rotation_R(x)
+    init_phase = np.diag([1.0, cmath.exp(-1j * beta)])
+    marked_phase = np.diag([1.0, cmath.exp(1j * alpha)])
+    return cmath.exp(1j * beta) * (R @ init_phase @ R @ marked_phase)
+
+
+def _matrix_loop(x, sched):
+    # the operator product written out: R(x)|r>, then G_1 first
+    state = rotation_R(x)[:, 0].copy()
+    for alpha, beta in zip(sched.alpha, sched.beta):
+        state = iteration_G(x, alpha, beta) @ state
+    return state
+
+
+def plain_schedule(l):
+    # alpha_k = beta_k = pi: the plain search, as verify's classic_grover_stop runs it
+    pi = np.full(l, math.pi)
+    return AngleSchedule(w=0.5, l=l, alpha=pi, beta=pi, phi=np.zeros(2 * l))
 
 
 class TestRotation:
@@ -36,10 +63,6 @@ class TestRotation:
             R = rotation_R(float(x))
             assert np.allclose(R, R.T)
             assert np.max(np.abs(R @ R - np.eye(2))) <= 1e-14
-
-    def test_domain(self):
-        with pytest.raises(ValueError):
-            rotation_R(1.5)
 
 
 class TestIterationG:
@@ -98,20 +121,13 @@ class TestRunSearch:
                 assert run_search(float(x), sched).norm() == pytest.approx(1.0, abs=1e-10)
 
 
-def _matrix_loop(x, sched):
-    # the operator product written out: R(x)|r>, then G_1 first
-    state = rotation_R(x)[:, 0].copy()
-    for alpha, beta in zip(sched.alpha, sched.beta):
-        state = iteration_G(x, alpha, beta) @ state
-    return state
-
-
 class TestRunSearchKernel:
     SCHEDULES = [(0.5, 1), (0.08, 12), (0.01, 265)]
+    PLAIN = [pytest.param(None, l, id=f"plain-{l}") for l in (0, 1, 39)]
 
-    @pytest.mark.parametrize("w,l", SCHEDULES)
+    @pytest.mark.parametrize("w,l", SCHEDULES + PLAIN)
     def test_matches_matrix_loop(self, w, l):
-        sched = make_schedule(w, l)
+        sched = plain_schedule(l) if w is None else make_schedule(w, l)
         xs = np.linspace(0.0, 1.0, 200)
         out = run_search(xs, sched)
         ref = np.array([_matrix_loop(float(x), sched) for x in xs])
@@ -131,6 +147,10 @@ class TestRunSearchKernel:
         sched = make_schedule(0.3, 4)
         scalar = run_search(0.5, sched)
         assert type(scalar.r_amp) is complex and type(scalar.t_amp) is complex
+        # no iterations: the initial state (x, s), still complex
+        start = run_search(0.6, plain_schedule(0))
+        assert type(start.r_amp) is complex and type(start.t_amp) is complex
+        assert (start.r_amp, start.t_amp) == (0.6, 0.8)
         grid = run_search(np.full((2, 3), 0.5), sched)
         assert grid.r_amp.shape == grid.t_amp.shape == grid.norm().shape == (2, 3)
         empty = run_search(np.array([]), sched)

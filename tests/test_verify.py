@@ -101,3 +101,9 @@ def test_verify_cli_exits_1_on_nan(monkeypatch, capsys, tmp_path):
     code = cli.main(["verify", "--output", str(tmp_path / "verify.json")])
     assert code == cli.EXIT_VERIFY_FAILED
     assert "FAILED three_way_agreement: max deviation nan" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("max_L", [9.0, 9.5])
+def test_non_integer_max_l_rejected(max_L):
+    with pytest.raises(ValueError, match=f"max_L must be an integer, got {max_L}"):
+        run_verification(max_L)
