@@ -24,13 +24,12 @@ from __future__ import annotations
 import functools
 import itertools
 import math
-import operator
 from dataclasses import dataclass
 
 import numpy as np
 from numpy.polynomial import polynomial as npoly
 
-from .complexpoly import QuasiChebParams, check_gamma, n_poly_coeffs, tan_table
+from .complexpoly import QuasiChebParams, check_gamma, check_int, n_poly_coeffs, tan_table
 
 MAX_ENUM_L = 15
 MAX_WEIGHT_L = 13
@@ -42,11 +41,7 @@ COEFF_TOL = 1e-8
 
 
 def _check_L(L: int, cap: int, what: str) -> int:
-    # L as a Python int; a float is never truncated, not even an integral one
-    try:
-        L = operator.index(L)
-    except TypeError:
-        raise ValueError(f"{what} supports odd L in 3..{cap}, got {L!r}") from None
+    L = check_int(L, f"{what} supports odd L in 3..{cap}")
     if L % 2 == 0 or not 3 <= L <= cap:
         raise ValueError(f"{what} supports odd L in 3..{cap}, got {L}")
     return L
@@ -98,12 +93,8 @@ class Tiling:
     dominoes: frozenset
 
     def __post_init__(self):
-        try:
-            L, positions = operator.index(self.L), [operator.index(d) for d in self.dominoes]
-        except TypeError:
-            raise ValueError(
-                f"L and domino positions must be integers, got {self.L!r}, {set(self.dominoes)}"
-            ) from None
+        L = check_int(self.L, "L must be an integer")
+        positions = [check_int(d, "domino positions must be integers") for d in self.dominoes]
         if L < 3 or L % 2 == 0:
             raise ValueError(f"L must be odd and >= 3, got {L}")
         dom = frozenset(d % L for d in positions)
@@ -253,10 +244,7 @@ def coefficient_compare(L: int, n_s: int) -> CoefficientReport:
     tilings at a time, and the products are summed over the tilings.
     """
     L = _check_L(L, MAX_COMPARE_L, "coefficient comparison")
-    try:
-        n_s = operator.index(n_s)
-    except TypeError:
-        raise ValueError(f"n_s must be one of {{L, L-2, ..., 1}}, got {n_s!r}") from None
+    n_s = check_int(n_s, "n_s must be one of {L, L-2, ..., 1}")
     if n_s < 1 or n_s > L or (L - n_s) % 2:
         raise ValueError(f"n_s must be one of {{L, L-2, ..., 1}}, got {n_s}")
     n_d = (L - n_s) // 2
@@ -340,10 +328,7 @@ def tangent_sum(L: int, subset) -> complex:
 def vieta_terms(L: int, k: int) -> np.ndarray:
     """Products prod i tan(d pi / L) over every k-subset of [L]."""
     L = _check_L(L, MAX_VIETA_L, "the subset sum")
-    try:
-        k = operator.index(k)
-    except TypeError:
-        raise ValueError(f"k must be in 0..{L}, got {k!r}") from None
+    k = check_int(k, f"k must be in 0..{L}")
     if not 0 <= k <= L:
         raise ValueError(f"k must be in 0..{L}, got {k}")
     t = 1j * tan_table(L)

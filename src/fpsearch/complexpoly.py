@@ -28,6 +28,14 @@ COEFF_MAX_DEGREE = 41
 EVAL_MAX_DEGREE = 100_000
 
 
+def check_int(value, what: str) -> int:
+    """Read a count as a Python int; a float is never truncated, not even an integral one."""
+    try:
+        return operator.index(value)
+    except TypeError:
+        raise ValueError(f"{what}, got {value!r}") from None
+
+
 def check_gamma(gamma: float) -> None:
     """Reject gamma = sqrt(1 - w^2) outside (0, 1]."""
     if not 0.0 < gamma <= 1.0:
@@ -43,10 +51,7 @@ class QuasiChebParams:
 
     def __post_init__(self):
         check_gamma(self.gamma)
-        try:
-            L = operator.index(self.L)
-        except TypeError:
-            raise ValueError(f"L must be a positive odd integer, got {self.L!r}") from None
+        L = check_int(self.L, "L must be a positive odd integer")
         if L < 1 or L % 2 == 0:
             raise ValueError(f"L must be a positive odd integer, got {L}")
         object.__setattr__(self, "L", L)
@@ -82,10 +87,7 @@ def chebyshev_T(L: int, x):
     outside.  Both branches stay accurate at degrees where the monomial
     expansion of T_L has long lost all its digits.
     """
-    try:
-        L = operator.index(L)
-    except TypeError:
-        raise ValueError(f"degree must be an integer, got {L!r}") from None
+    L = check_int(L, "degree must be an integer")
     if L < 0:
         raise ValueError(f"degree must be >= 0, got {L}")
     if L > EVAL_MAX_DEGREE:

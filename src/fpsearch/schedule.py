@@ -19,29 +19,29 @@ Chebyshev ratio.
 from __future__ import annotations
 
 import math
-import operator
 from dataclasses import dataclass
 
 import numpy as np
 
-from .complexpoly import EVAL_MAX_DEGREE, tan_table
+from .complexpoly import EVAL_MAX_DEGREE, check_int, tan_table
 
 # the largest l whose degree L = 2l + 1 chebyshev_T still evaluates
 MAX_ITERATIONS = (EVAL_MAX_DEGREE - 1) // 2
 
 
-def check_w_l(w: float, l: int | None = None) -> None:
-    """Reject w outside (0, 1) and, when given, l that is not an integer in 1..MAX_ITERATIONS."""
+def check_w_l(w: float, l: int | None = None) -> int | None:
+    """Reject w outside (0, 1) and, when given, l that is not an integer in 1..MAX_ITERATIONS.
+
+    Returns l read as a Python int, or None when l is not given.
+    """
     if not 0.0 < w < 1.0:
         raise ValueError(f"w must be in (0, 1), got {w}")
     if l is None:
-        return
-    try:
-        operator.index(l)
-    except TypeError:
-        raise ValueError(f"l must be an integer, got {l!r}") from None
+        return None
+    l = check_int(l, "l must be an integer")
     if not 1 <= l <= MAX_ITERATIONS:
         raise ValueError(f"l must be in 1..{MAX_ITERATIONS}, got {l}")
+    return l
 
 
 @dataclass(frozen=True)
@@ -92,6 +92,16 @@ class AngleSchedule:
     phi: np.ndarray
     delta: float | None = None
 
+    def __post_init__(self):
+        # the search zips alpha with beta, so a short array would silently drop iterations
+        l = check_int(self.l, "l must be an integer")
+        if not len(self.alpha) == len(self.beta) == l or len(self.phi) != 2 * l:
+            raise ValueError(
+                f"l = {l} needs {l} alpha, {l} beta and {2 * l} phi angles, "
+                f"got {len(self.alpha)}, {len(self.beta)}, {len(self.phi)}"
+            )
+        object.__setattr__(self, "l", l)
+
     @property
     def L(self) -> int:
         return 2 * self.l + 1
@@ -115,13 +125,13 @@ def make_schedule(w: float, l: int, delta: float | None = None) -> AngleSchedule
     ``delta`` is carried along for bookkeeping only; it does not affect the
     angles.
     """
-    check_w_l(w, l)
+    l = check_w_l(w, l)
     # t[n] = w tan(n pi / L): alpha_k takes n = 2k - 1, beta_k takes n = 2k
     t = w * tan_table(2 * l + 1)
     alpha = 2.0 * arccot(t[1::2])
     beta = -2.0 * arccot(t[2::2])
     phi = 2.0 * np.arctan(t[1:])
-    return AngleSchedule(w=w, l=operator.index(l), alpha=alpha, beta=beta, phi=phi, delta=delta)
+    return AngleSchedule(w=w, l=l, alpha=alpha, beta=beta, phi=phi, delta=delta)
 
 
 def schedule_for(params: SearchParams) -> AngleSchedule:

@@ -123,7 +123,7 @@ def success_probability_closed(lam, w: float, l: int):
     """
     lams = np.asarray(lam, dtype=float)
     _check_x(lams, "lambda")
-    check_w_l(w, l)
+    l = check_w_l(w, l)
     gamma = math.sqrt(1.0 - w * w)
     L = 2 * l + 1
     x = np.sqrt(np.maximum(0.0, 1.0 - lams * lams))

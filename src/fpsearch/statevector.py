@@ -15,12 +15,12 @@ from __future__ import annotations
 
 import cmath
 import math
-import operator
 from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
 
+from .complexpoly import check_int
 from .schedule import AngleSchedule
 
 MAX_QUBITS = 12
@@ -45,12 +45,8 @@ class MarkedSet:
     n_qubits: int
 
     def __post_init__(self):
-        try:
-            n, idx = operator.index(self.n_qubits), tuple(sorted(operator.index(i) for i in self.indices))
-        except TypeError:
-            raise ValueError(
-                f"n_qubits and marked indices must be integers, got {self.n_qubits!r}, {self.indices!r}"
-            ) from None
+        n = check_int(self.n_qubits, "n_qubits must be an integer")
+        idx = tuple(sorted([check_int(i, "marked indices must be integers") for i in self.indices]))
         dim = 1 << n
         if len(idx) == 0:
             raise ValueError("marked set must be non-empty")
@@ -69,15 +65,17 @@ class MarkedSet:
         return math.sqrt(len(self.indices) / (1 << self.n_qubits))
 
 
-def check_qubits(n_qubits: int) -> None:
-    """Reject a register size outside 1..MAX_QUBITS."""
+def check_qubits(n_qubits: int) -> int:
+    """Reject a register size that is not an integer in 1..MAX_QUBITS; return it as a Python int."""
+    n_qubits = check_int(n_qubits, "n_qubits must be an integer")
     if not 1 <= n_qubits <= MAX_QUBITS:
         raise ValueError(f"n_qubits must be in 1..{MAX_QUBITS}, got {n_qubits}")
+    return n_qubits
 
 
 def init_uniform(n_qubits: int) -> StateVector:
     """Equal superposition of all 2^n basis states."""
-    check_qubits(n_qubits)
+    n_qubits = check_qubits(n_qubits)
     dim = 1 << n_qubits
     amps = np.full(dim, 2.0 ** (-n_qubits / 2.0), dtype=complex)
     return StateVector(amps=amps, n_qubits=n_qubits)

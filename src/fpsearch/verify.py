@@ -14,7 +14,6 @@ becomes the ``max_deviation`` and fails the check.
 from __future__ import annotations
 
 import math
-import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -403,10 +402,7 @@ def check_tangent_subtraction(rng) -> CheckResult:
 
 def run_verification(max_L: int = 9, seed: int = 42) -> list:
     """Run every invariant check; max_L bounds the enumeration-based grids."""
-    try:
-        max_L = operator.index(max_L)
-    except TypeError:
-        raise ValueError(f"max_L must be an integer, got {max_L!r}") from None
+    max_L = complexpoly.check_int(max_L, "max_L must be an integer")
     if max_L % 2 == 0:
         raise ValueError(f"max_L must be odd, got {max_L}")
     if not 3 <= max_L <= combinat.MAX_TANGENT_L:

@@ -12,6 +12,7 @@ from numpy.polynomial import polynomial as npoly
 from fpsearch.complexpoly import (
     COEFF_MAX_DEGREE,
     QuasiChebParams,
+    check_int,
     chebyshev_T,
     d_product,
     n_poly_coeffs,
@@ -47,6 +48,19 @@ def cheb_coeffs_oracle(L):
         nxt -= c_prev
         c_prev, c_cur = c_cur, nxt
     return c_cur
+
+
+class TestCheckInt:
+    @pytest.mark.parametrize("value", [5, np.int64(5), np.uint8(5)])
+    def test_integers_come_back_as_python_int(self, value):
+        out = check_int(value, "n must be an integer")
+        assert type(out) is int and out == 5
+
+    @pytest.mark.parametrize("value", [5.0, np.float64(5.0), 5.5, "5", None])
+    def test_non_integers_raise_naming_the_value(self, value):
+        with pytest.raises(ValueError) as info:
+            check_int(value, "n must be an integer")
+        assert str(info.value) == f"n must be an integer, got {value!r}"
 
 
 class TestChebyshevT:

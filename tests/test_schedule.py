@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 from fpsearch.complexpoly import EVAL_MAX_DEGREE, QuasiChebParams, phi_angles
 from fpsearch.schedule import (
     MAX_ITERATIONS,
+    AngleSchedule,
     SearchParams,
     arccot,
     make_schedule,
@@ -137,6 +138,20 @@ class TestMakeSchedule:
         sched = schedule_for(SearchParams(w=0.08, delta=0.3))
         assert sched.l == 12
         assert sched.delta == 0.3
+
+
+class TestAngleSchedule:
+    @pytest.mark.parametrize("n_alpha,n_beta,n_phi", [(2, 2, 6), (3, 2, 6), (3, 3, 5), (4, 4, 8)])
+    def test_rejects_angle_counts_that_do_not_match_l(self, n_alpha, n_beta, n_phi):
+        # zip would run min(n_alpha, n_beta) iterations while l still reports 3
+        with pytest.raises(ValueError, match="l = 3 needs 3 alpha, 3 beta and 6 phi angles"):
+            AngleSchedule(w=0.2, l=3, alpha=np.ones(n_alpha), beta=np.ones(n_beta), phi=np.zeros(n_phi))
+
+    def test_reads_l_as_an_integer(self):
+        sched = AngleSchedule(w=0.2, l=np.int64(2), alpha=np.ones(2), beta=np.ones(2), phi=np.zeros(4))
+        assert type(sched.l) is int
+        with pytest.raises(ValueError, match="l must be an integer, got 2.0"):
+            AngleSchedule(w=0.2, l=2.0, alpha=np.ones(2), beta=np.ones(2), phi=np.zeros(4))
 
 
 class TestBounds:

@@ -37,7 +37,7 @@ class TestInitUniform:
     def test_normalized_at_scale(self):
         assert init_uniform(10).norm() == pytest.approx(1.0, abs=1e-12)
 
-    @pytest.mark.parametrize("n", [0, -1, MAX_QUBITS + 1])
+    @pytest.mark.parametrize("n", [0, -1, MAX_QUBITS + 1, 5.5, 5.0])
     def test_capability_bounds(self, n):
         with pytest.raises(ValueError):
             init_uniform(n)
@@ -186,6 +186,11 @@ class TestFullSearch:
         marked = MarkedSet(indices=(1,), n_qubits=4)
         with pytest.raises(ValueError, match="different registers"):
             run_full_search(3, marked, make_schedule(0.3, 2))
+
+    def test_rejects_non_integer_register(self):
+        marked = MarkedSet(indices=(1,), n_qubits=5)
+        with pytest.raises(ValueError, match="n_qubits must be an integer, got 5.0"):
+            run_full_search(5.0, marked, make_schedule(0.2, 3))
 
     def test_zero_marked_phase_leaves_uniform_overlap(self):
         # psi0 is an eigenvector of every init phase, so with alpha = 0 the run
