@@ -29,7 +29,7 @@ from dataclasses import dataclass
 import numpy as np
 from numpy.polynomial import polynomial as npoly
 
-from .complexpoly import QuasiChebParams, check_gamma, check_int, n_poly_coeffs, tan_table
+from .complexpoly import QuasiChebParams, check_gamma, check_int, check_odd, n_poly_coeffs, tan_table
 
 MAX_ENUM_L = 15
 MAX_WEIGHT_L = 13
@@ -41,10 +41,7 @@ COEFF_TOL = 1e-8
 
 
 def _check_L(L: int, cap: int, what: str) -> int:
-    L = check_int(L, f"{what} supports odd L in 3..{cap}")
-    if L % 2 == 0 or not 3 <= L <= cap:
-        raise ValueError(f"{what} supports odd L in 3..{cap}, got {L}")
-    return L
+    return check_odd(L, 3, cap, f"{what} supports odd L in 3..{cap}")
 
 
 def _check_variant(variant: str) -> None:
@@ -93,10 +90,8 @@ class Tiling:
     dominoes: frozenset
 
     def __post_init__(self):
-        L = check_int(self.L, "L must be an integer")
+        L = check_odd(self.L, 3, None, "L must be an odd integer >= 3")
         positions = [check_int(d, "domino positions must be integers") for d in self.dominoes]
-        if L < 3 or L % 2 == 0:
-            raise ValueError(f"L must be odd and >= 3, got {L}")
         dom = frozenset(d % L for d in positions)
         object.__setattr__(self, "L", L)
         object.__setattr__(self, "dominoes", dom)
@@ -244,9 +239,7 @@ def coefficient_compare(L: int, n_s: int) -> CoefficientReport:
     tilings at a time, and the products are summed over the tilings.
     """
     L = _check_L(L, MAX_COMPARE_L, "coefficient comparison")
-    n_s = check_int(n_s, "n_s must be one of {L, L-2, ..., 1}")
-    if n_s < 1 or n_s > L or (L - n_s) % 2:
-        raise ValueError(f"n_s must be one of {{L, L-2, ..., 1}}, got {n_s}")
+    n_s = check_odd(n_s, 1, L, "n_s must be one of {L, L-2, ..., 1}")
     n_d = (L - n_s) // 2
     bits = _tiling_bits(L, wrap=True)
     bits = bits[bits.sum(axis=1) == n_d]
@@ -275,12 +268,10 @@ def _check_subsets(L: int, subsets) -> np.ndarray:
         subsets = list(subsets)
     try:
         arr = np.asarray(subsets)
-        ints = arr.astype(np.int64)
     except (TypeError, ValueError) as exc:
         raise ValueError("subsets must form a rectangular (S, k) array of integers") from exc
-    if arr.dtype.kind not in "iu" and not np.array_equal(ints, arr):
+    if arr.size and arr.dtype.kind not in "iu":
         raise ValueError("subset entries must be integers")
-    arr = ints
     if arr.ndim not in (1, 2):
         raise ValueError(f"subsets must be 1-D or 2-D, got {arr.ndim} dimensions")
     k = arr.shape[-1]
@@ -292,7 +283,7 @@ def _check_subsets(L: int, subsets) -> np.ndarray:
     ordered = np.sort(rows, axis=1)
     if np.any(ordered[:, 1:] == ordered[:, :-1]):
         raise ValueError("subset entries must be distinct")
-    return arr
+    return arr.astype(np.int64)
 
 
 def tangent_sum_terms(L: int, subsets) -> np.ndarray:

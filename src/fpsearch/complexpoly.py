@@ -11,7 +11,8 @@ tangents tan(n pi / L): the twists and twist angles here, the schedule angles
 and the tiling weights are all taken from it.
 
 Complex scalars are Python ``complex``; coefficient vectors are numpy arrays
-of ``complex128`` indexed by degree.
+of ``complex128`` indexed by degree.  ``check_int`` reads every count, and
+``check_odd`` every odd count in a range, such as a degree L.
 """
 
 from __future__ import annotations
@@ -36,6 +37,14 @@ def check_int(value, what: str) -> int:
         raise ValueError(f"{what}, got {value!r}") from None
 
 
+def check_odd(value, lo: int, hi: int | None, what: str) -> int:
+    """Read an odd count in lo..hi (no upper bound when hi is None) as a Python int."""
+    n = check_int(value, what)
+    if n % 2 == 0 or n < lo or (hi is not None and n > hi):
+        raise ValueError(f"{what}, got {n}")
+    return n
+
+
 def check_gamma(gamma: float) -> None:
     """Reject gamma = sqrt(1 - w^2) outside (0, 1]."""
     if not 0.0 < gamma <= 1.0:
@@ -51,10 +60,7 @@ class QuasiChebParams:
 
     def __post_init__(self):
         check_gamma(self.gamma)
-        L = check_int(self.L, "L must be a positive odd integer")
-        if L < 1 or L % 2 == 0:
-            raise ValueError(f"L must be a positive odd integer, got {L}")
-        object.__setattr__(self, "L", L)
+        object.__setattr__(self, "L", check_odd(self.L, 1, None, "L must be a positive odd integer"))
 
     @property
     def l(self) -> int:
@@ -133,16 +139,18 @@ def quasi_cheb_closed(params: QuasiChebParams, x):
     )
 
 
-def _raised(coeffs: np.ndarray) -> np.ndarray:
-    # multiply a coefficient vector by x (length stays L + 1)
-    out = np.zeros_like(coeffs)
-    out[1:] = coeffs[:-1]
-    return out
-
-
-def _check_coeff_degree(L: int) -> None:
+def _coefficients(params: QuasiChebParams, b: np.ndarray, c: np.ndarray) -> np.ndarray:
+    # p_0 = 1, p_1 = x, p_{n+1} = b_n x p_n - c_n p_{n-1} through n = 2l, on
+    # length-(L + 1) coefficient vectors indexed by degree
+    L = params.L
     if L > COEFF_MAX_DEGREE:
         raise ValueError(f"coefficient extraction capped at L <= {COEFF_MAX_DEGREE}, got {L}")
+    p_prev, p = np.eye(2, L + 1, dtype=complex)
+    for b_n, c_n in zip(b, c):
+        shifted = np.zeros(L + 1, dtype=complex)
+        shifted[1:] = p[:-1]
+        p_prev, p = p, b_n * shifted - c_n * p_prev
+    return p
 
 
 def quasi_cheb_coeffs(params: QuasiChebParams) -> np.ndarray:
@@ -150,15 +158,8 @@ def quasi_cheb_coeffs(params: QuasiChebParams) -> np.ndarray:
 
     Even-degree coefficients vanish up to roundoff: the polynomial is odd.
     """
-    _check_coeff_degree(params.L)
-    L = params.L
-    a_prev = np.zeros(L + 1, dtype=complex)
-    a_prev[0] = 1.0
-    a = np.zeros(L + 1, dtype=complex)
-    a[1] = 1.0
-    for e in np.exp(-1j * phi_angles(params)):
-        a_prev, a = a, (1.0 + e) * _raised(a) - e * a_prev
-    return a
+    e = np.exp(-1j * phi_angles(params))
+    return _coefficients(params, 1.0 + e, e)
 
 
 def n_poly_coeffs(params: QuasiChebParams) -> np.ndarray:
@@ -168,16 +169,8 @@ def n_poly_coeffs(params: QuasiChebParams) -> np.ndarray:
     once the imaginary parts cancel this equals gamma^L T_L(x/gamma)
     coefficientwise.
     """
-    _check_coeff_degree(params.L)
-    L = params.L
-    n_prev = np.zeros(L + 1, dtype=complex)
-    n_prev[0] = 1.0
-    n_cur = np.zeros(L + 1, dtype=complex)
-    n_cur[1] = 1.0
     t = twists(params)
-    for factor in (1.0 - 1j * t[1:]) * (1.0 + 1j * t[:-1]):
-        n_prev, n_cur = n_cur, 2.0 * _raised(n_cur) - factor * n_prev
-    return n_cur
+    return _coefficients(params, np.full(params.L - 1, 2.0), (1.0 - 1j * t[1:]) * (1.0 + 1j * t[:-1]))
 
 
 def d_product(params: QuasiChebParams) -> complex:

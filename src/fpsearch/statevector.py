@@ -45,7 +45,7 @@ class MarkedSet:
     n_qubits: int
 
     def __post_init__(self):
-        n = check_int(self.n_qubits, "n_qubits must be an integer")
+        n = check_qubits(self.n_qubits)
         idx = tuple(sorted([check_int(i, "marked indices must be integers") for i in self.indices]))
         dim = 1 << n
         if len(idx) == 0:

@@ -17,7 +17,7 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from numpy.polynomial import polynomial as npoly
+from numpy.polynomial import chebyshev, polynomial as npoly
 
 from . import combinat, complexpoly, schedule, sim2d, statevector
 
@@ -51,22 +51,6 @@ def _result(name, L, params, devs, tol) -> CheckResult:
         if d > dev or d != d:
             dev = d
     return CheckResult(check_name=name, L=L, params=params, max_deviation=float(dev), passed=bool(dev <= tol))
-
-
-def _cheb_reference_coeffs(L: int) -> np.ndarray:
-    # integer three-term recurrence, independent of the trig evaluation path
-    c_prev = np.zeros(L + 1)
-    c_prev[0] = 1.0
-    if L == 0:
-        return c_prev
-    c_cur = np.zeros(L + 1)
-    c_cur[1] = 1.0
-    for _ in range(L - 1):
-        nxt = np.zeros(L + 1)
-        nxt[1:] = 2.0 * c_cur[:-1]
-        nxt -= c_prev
-        c_prev, c_cur = c_cur, nxt
-    return c_cur
 
 
 def _poly_degrees(max_L: int) -> list:
@@ -133,7 +117,7 @@ def check_gamma_one_degeneracy(max_L: int) -> CheckResult:
     top = min(max_L, 13)
     for L in range(1, top + 1, 2):
         coeffs = complexpoly.quasi_cheb_coeffs(complexpoly.QuasiChebParams(gamma=1.0, L=L))
-        devs.append(np.abs(coeffs - _cheb_reference_coeffs(L)))
+        devs.append(np.abs(coeffs - chebyshev.cheb2poly(np.eye(L + 1)[L])))
     return _result("gamma_one_degeneracy", top, {}, devs, 1e-12)
 
 
@@ -402,11 +386,8 @@ def check_tangent_subtraction(rng) -> CheckResult:
 
 def run_verification(max_L: int = 9, seed: int = 42) -> list:
     """Run every invariant check; max_L bounds the enumeration-based grids."""
-    max_L = complexpoly.check_int(max_L, "max_L must be an integer")
-    if max_L % 2 == 0:
-        raise ValueError(f"max_L must be odd, got {max_L}")
-    if not 3 <= max_L <= combinat.MAX_TANGENT_L:
-        raise ValueError(f"max_L must lie in 3..{combinat.MAX_TANGENT_L}, got {max_L}")
+    top = combinat.MAX_TANGENT_L
+    max_L = complexpoly.check_odd(max_L, 3, top, f"max_L must be an odd integer in 3..{top}")
     rng = np.random.default_rng(seed)
     return [
         check_quasi_cheb_closed_form(max_L),

@@ -309,7 +309,9 @@ class TestTangentSum:
                 tangent_sum_terms(5, np.array(bad))
 
     def test_batch_rejects_malformed_input(self):
-        for bad in ([[0, 1], [2]], np.zeros((2, 2, 2), dtype=int), np.zeros((3, 0), dtype=int), [[0.5, 1.0]]):
+        malformed = ([[0, 1], [2]], np.zeros((2, 2, 2), dtype=int), np.zeros((3, 0), dtype=int), [[0.5, 1.0]])
+        # entries are never truncated, not even integral floats
+        for bad in (*malformed, [[1.0, 2.0]], np.array([2.0, 3.0])):
             with pytest.raises(ValueError):
                 tangent_sum_terms(5, bad)
 

@@ -73,6 +73,11 @@ class TestMarkedSet:
         with pytest.raises(ValueError, match="got 2.5"):
             MarkedSet(indices=(1,), n_qubits=2.5)
 
+    @pytest.mark.parametrize("n_qubits", [-1, 0])
+    def test_rejects_register_out_of_range(self, n_qubits):
+        with pytest.raises(ValueError, match=f"n_qubits must be in 1..{MAX_QUBITS}, got {n_qubits}"):
+            MarkedSet(indices=(0,), n_qubits=n_qubits)
+
     def test_accepts_numpy_integers(self):
         marked = MarkedSet(indices=tuple(np.array([5, 2])), n_qubits=np.int64(3))
         assert marked.indices == (2, 5) and marked.n_qubits == 3

@@ -105,5 +105,5 @@ def test_verify_cli_exits_1_on_nan(monkeypatch, capsys, tmp_path):
 
 @pytest.mark.parametrize("max_L", [9.0, 9.5])
 def test_non_integer_max_l_rejected(max_L):
-    with pytest.raises(ValueError, match=f"max_L must be an integer, got {max_L}"):
+    with pytest.raises(ValueError, match=f"max_L must be an odd integer in 3..25, got {max_L}"):
         run_verification(max_L)
