@@ -15,10 +15,14 @@ calls skip the argparse rebuild and hold no parser per call; a single
 ``fpsearch`` run builds it once either way.  Handlers look up this module's
 globals when they run.
 
+Every subcommand takes ``--output``; only ``sweep`` takes ``--format csv|json``,
+the others write JSON.  ``angles``, ``sweep``, ``simulate`` and ``statevector``
+take ``--w`` with exactly one of ``--delta`` (minimal l) or ``--l`` (explicit
+count); argparse rejects any other combination with exit code 2.
+
 Range checks on the inputs live in the library.  This module checks only what
-the library never sees (format, lambda grid, flag combinations, the marked
-set's parsing and sampling) and turns every ``ValueError`` into
-``error: <msg>`` with exit code 2.
+the library never sees (lambda grid, the marked set's parsing and sampling)
+and turns every ``ValueError`` into ``error: <msg>`` with exit code 2.
 """
 
 from __future__ import annotations
@@ -31,7 +35,7 @@ import sys
 
 import numpy as np
 
-from .schedule import SearchParams, make_schedule, min_iterations
+from .schedule import SearchParams, make_schedule, schedule_for
 from .sim2d import run_search, success_probability_closed
 from .statevector import MarkedSet, check_qubits, run_full_search
 from .verify import run_verification
@@ -63,23 +67,10 @@ def _json_text(payload) -> str:
     return json.dumps(payload, indent=2) + "\n"
 
 
-def _require_format(args, allowed) -> str:
-    fmt = args.format or allowed[0]
-    if fmt not in allowed:
-        raise ValueError(f"format {fmt!r} is not supported by this subcommand (expected {'/'.join(allowed)})")
-    return fmt
-
-
 def _schedule_from_args(args):
-    delta = getattr(args, "delta", None)
-    l = getattr(args, "l", None)
-    if delta is not None:
-        params = SearchParams(w=args.w, delta=delta)
-        if l is None:
-            l = min_iterations(params)
-    elif l is None:
-        raise ValueError("either --delta or --l is required")
-    return make_schedule(args.w, l, delta=delta)
+    if args.l is None:
+        return schedule_for(SearchParams(w=args.w, delta=args.delta))
+    return make_schedule(args.w, args.l)
 
 
 def _gap_exit(errors) -> int:
@@ -93,7 +84,6 @@ def _gap_exit(errors) -> int:
 
 
 def cmd_angles(args) -> int:
-    _require_format(args, ("json",))
     sched = _schedule_from_args(args)
     _emit(_json_text(sched.to_dict()), args.output)
     return EXIT_OK
@@ -123,10 +113,9 @@ def _csv_chunks(table):
 
 
 def cmd_sweep(args) -> int:
-    fmt = _require_format(args, ("csv", "json"))
     sched = _schedule_from_args(args)
     table = _sweep_rows(args, sched)
-    if fmt == "csv":
+    if args.format == "csv":
         _emit(_csv_chunks(table), args.output)
     else:
         keys = ("lambda", "p_sim", "p_closed", "abs_err")
@@ -140,7 +129,6 @@ def cmd_sweep(args) -> int:
 
 
 def cmd_simulate(args) -> int:
-    _require_format(args, ("json",))
     sched = _schedule_from_args(args)
     # the closed form runs first: it is what rejects a lambda outside [0, 1]
     p_closed = success_probability_closed(args.lam, sched.w, sched.l)
@@ -171,7 +159,6 @@ def _parse_marked(args, dim: int):
 
 
 def cmd_statevector(args) -> int:
-    _require_format(args, ("json",))
     # 1 << qubits below must not run on a size init_uniform would reject
     check_qubits(args.qubits)
     marked = MarkedSet(indices=_parse_marked(args, 1 << args.qubits), n_qubits=args.qubits)
@@ -189,7 +176,6 @@ def cmd_statevector(args) -> int:
 
 
 def cmd_verify(args) -> int:
-    _require_format(args, ("json",))
     results = run_verification(max_L=args.max_L, seed=args.seed)
     _emit(_json_text([r.to_dict() for r in results]), args.output)
     failed = [r for r in results if not r.passed]
@@ -206,42 +192,34 @@ def build_parser() -> argparse.ArgumentParser:
     )
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--output", default=None, help="write output to this path instead of stdout")
-    common.add_argument("--format", choices=("csv", "json"), default=None, help="output format")
+    schedule = argparse.ArgumentParser(add_help=False)
+    schedule.add_argument("--w", type=float, required=True, help="lower bound on the marked amplitude")
+    group = schedule.add_mutually_exclusive_group(required=True)
+    group.add_argument("--delta", type=float, help="failure bound; l is the minimal count for it")
+    group.add_argument("--l", type=int, help="explicit iteration count")
+    scheduled = [common, schedule]
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p_angles = sub.add_parser("angles", parents=[common], help="emit the angle schedule as JSON")
-    p_angles.add_argument("--w", type=float, required=True)
-    group = p_angles.add_mutually_exclusive_group(required=True)
-    group.add_argument("--delta", type=float)
-    group.add_argument("--l", type=int)
+    p_angles = sub.add_parser("angles", parents=scheduled, help="emit the angle schedule as JSON")
     p_angles.set_defaults(handler=cmd_angles)
 
-    p_sweep = sub.add_parser("sweep", parents=[common], help="success amplitude over a lambda grid (CSV)")
-    p_sweep.add_argument("--w", type=float, required=True)
-    p_sweep.add_argument("--delta", type=float, required=True)
-    p_sweep.add_argument("--l", type=int, default=None, help="override the minimal iteration count")
+    p_sweep = sub.add_parser("sweep", parents=scheduled, help="success amplitude over a lambda grid (CSV)")
+    p_sweep.add_argument("--format", choices=("csv", "json"), default="csv", help="output format")
     p_sweep.add_argument("--lambda-min", dest="lambda_min", type=float, default=0.0)
     p_sweep.add_argument("--lambda-max", dest="lambda_max", type=float, default=1.0)
     p_sweep.add_argument("--points", type=int, default=500)
     p_sweep.set_defaults(handler=cmd_sweep)
 
-    p_sim = sub.add_parser("simulate", parents=[common], help="simulate a single lambda")
+    p_sim = sub.add_parser("simulate", parents=scheduled, help="simulate a single lambda")
     p_sim.add_argument("--lambda", dest="lam", type=float, required=True)
-    p_sim.add_argument("--w", type=float, required=True)
-    group = p_sim.add_mutually_exclusive_group(required=True)
-    group.add_argument("--delta", type=float)
-    group.add_argument("--l", type=int)
     p_sim.set_defaults(handler=cmd_simulate)
 
-    p_state = sub.add_parser("statevector", parents=[common], help="full-register run on 2^n amplitudes")
+    p_state = sub.add_parser("statevector", parents=scheduled, help="full-register run on 2^n amplitudes")
     p_state.add_argument("--qubits", type=int, required=True)
-    group = p_state.add_mutually_exclusive_group(required=True)
-    group.add_argument("--marked", type=str, default=None, help="comma-separated marked indices")
-    group.add_argument("--marked-count", dest="marked_count", type=int, default=None)
+    marked = p_state.add_mutually_exclusive_group(required=True)
+    marked.add_argument("--marked", type=str, default=None, help="comma-separated marked indices")
+    marked.add_argument("--marked-count", dest="marked_count", type=int, default=None)
     p_state.add_argument("--seed", type=int, default=0, help="seed for --marked-count sampling")
-    p_state.add_argument("--w", type=float, required=True)
-    p_state.add_argument("--delta", type=float, default=None)
-    p_state.add_argument("--l", type=int, default=None)
     p_state.set_defaults(handler=cmd_statevector)
 
     p_verify = sub.add_parser("verify", parents=[common], help="run the invariant verification suite")

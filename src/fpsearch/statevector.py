@@ -33,6 +33,13 @@ class StateVector:
     amps: np.ndarray
     n_qubits: int
 
+    def __post_init__(self):
+        # a length other than 2^n would be indexed as if it were an n-qubit register
+        n = check_qubits(self.n_qubits)
+        if np.shape(self.amps) != (1 << n,):
+            raise ValueError(f"{n} qubits need {1 << n} amplitudes, got shape {np.shape(self.amps)}")
+        object.__setattr__(self, "n_qubits", n)
+
     def norm(self) -> float:
         return float(np.linalg.norm(self.amps))
 

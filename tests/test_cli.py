@@ -315,6 +315,58 @@ class TestVerify:
         assert not json.loads(out)[0]["pass"]
 
 
+class TestArgumentModel:
+    # the rest of each command line, valid on its own; a schedule's --delta or --l comes last
+    BASE = {
+        "angles": ("--w", "0.5", "--l", "1"),
+        "sweep": ("--points", "2", "--w", "0.3", "--delta", "0.2"),
+        "simulate": ("--lambda", "0.3", "--w", "0.5", "--l", "1"),
+        "statevector": ("--qubits", "2", "--marked", "0", "--w", "0.5", "--l", "1"),
+        "verify": ("--max-L", "3"),
+    }
+    SCHEDULED = ("angles", "sweep", "simulate", "statevector")
+
+    @pytest.mark.parametrize("command", ["angles", "simulate", "statevector", "verify"])
+    def test_format_only_on_sweep(self, capsys, command):
+        assert run_cli(capsys, command, *self.BASE[command])[0] == EXIT_OK
+        code, out, err = run_cli(capsys, command, *self.BASE[command], "--format", "json")
+        assert code == EXIT_USAGE
+        assert out == "" and "--format" in err
+
+    @pytest.mark.parametrize("command", SCHEDULED)
+    def test_delta_and_l_exclusive(self, capsys, command):
+        code, out, err = run_cli(capsys, command, *self.BASE[command], "--delta", "0.3", "--l", "2")
+        assert code == EXIT_USAGE
+        assert out == "" and "not allowed with argument" in err
+
+    @pytest.mark.parametrize("command", SCHEDULED)
+    def test_schedule_required(self, capsys, command):
+        code, _, err = run_cli(capsys, command, *self.BASE[command][:-2])
+        assert code == EXIT_USAGE
+        assert "one of the arguments --delta --l is required" in err
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ("sweep", "--w", "0.08", "--points", "50"),
+            ("statevector", "--qubits", "8", "--marked-count", "2", "--seed", "7", "--w", "0.08"),
+        ],
+        ids=lambda argv: argv[0],
+    )
+    def test_l_form_matches_delta_form(self, capsys, argv):
+        # w = 0.08, delta = 0.3 gives l = 12
+        by_delta = run_cli(capsys, *argv, "--delta", "0.3")
+        by_l = run_cli(capsys, *argv, "--l", "12")
+        assert by_delta[0] == EXIT_OK
+        assert by_l == by_delta
+
+    @pytest.mark.parametrize("command", list(BASE))
+    def test_help(self, capsys, command):
+        code, out, _ = run_cli(capsys, command, "--help")
+        assert code == EXIT_OK
+        assert out.startswith(f"usage: fpsearch {command}")
+
+
 class TestParser:
     def test_unknown_subcommand(self, capsys):
         code, _, _ = run_cli(capsys, "frobnicate")

@@ -22,6 +22,16 @@ def _cli_commands() -> list:
     return [shlex.split(line)[1:] for line in lines if line.startswith("fpsearch ")]
 
 
+def _cli_ids(commands) -> list:
+    # the first command of each subcommand is named after it, a later one gets its position too
+    seen = set()
+    ids = []
+    for i, argv in enumerate(commands):
+        ids.append(argv[0] if argv[0] not in seen else f"{argv[0]}-{i}")
+        seen.add(argv[0])
+    return ids
+
+
 def test_quickstart_runs(capsys):
     exec(compile(_block("Library quickstart", "python"), str(README), "exec"), {})
     sim, closed = (float(v) for v in capsys.readouterr().out.split())
@@ -35,7 +45,7 @@ def test_every_exported_name_resolves():
         assert getattr(fpsearch, name) is not None, name
 
 
-@pytest.mark.parametrize("argv", _cli_commands(), ids=lambda argv: argv[0])
+@pytest.mark.parametrize("argv", _cli_commands(), ids=_cli_ids(_cli_commands()))
 def test_cli_command_runs(argv, tmp_path, monkeypatch, capsys):
     monkeypatch.chdir(tmp_path)
     assert cli.main(argv) == cli.EXIT_OK, capsys.readouterr().err

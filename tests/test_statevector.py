@@ -1,6 +1,7 @@
 """Unit tests for the full-register simulator."""
 
 import math
+import re
 
 import numpy as np
 import pytest
@@ -82,6 +83,18 @@ class TestMarkedSet:
         marked = MarkedSet(indices=tuple(np.array([5, 2])), n_qubits=np.int64(3))
         assert marked.indices == (2, 5) and marked.n_qubits == 3
         assert all(type(i) is int for i in (*marked.indices, marked.n_qubits))
+
+
+class TestStateVector:
+    @pytest.mark.parametrize("shape", [(16,), (4,), (2, 4)], ids=["too-long", "too-short", "not-a-vector"])
+    def test_rejects_amplitude_count_mismatch(self, shape):
+        # (16,) once passed as 3 qubits; (4,) failed later inside numpy indexing
+        with pytest.raises(ValueError, match=re.escape(f"3 qubits need 8 amplitudes, got shape {shape}")):
+            StateVector(amps=np.ones(shape), n_qubits=3)
+
+    def test_reads_register_as_int(self):
+        state = StateVector(amps=np.ones(8) / math.sqrt(8.0), n_qubits=np.int64(3))
+        assert type(state.n_qubits) is int and state.n_qubits == 3
 
 
 class TestMarkedPhase:
