@@ -148,13 +148,15 @@ def cmd_simulate(args) -> int:
 
 def _parse_marked(args, dim: int):
     if args.marked is not None:
+        if args.seed is not None:
+            raise ValueError("--seed applies only to --marked-count")
         try:
             return tuple(int(part) for part in args.marked.split(","))
         except ValueError as exc:
             raise ValueError(f"--marked must be a comma-separated integer list: {exc}") from exc
     if not 1 <= args.marked_count < dim:
         raise ValueError(f"--marked-count must be in 1..{dim - 1}, got {args.marked_count}")
-    rng = np.random.default_rng(args.seed)
+    rng = np.random.default_rng(0 if args.seed is None else args.seed)
     return tuple(int(i) for i in rng.choice(dim, size=args.marked_count, replace=False))
 
 
@@ -219,7 +221,7 @@ def build_parser() -> argparse.ArgumentParser:
     marked = p_state.add_mutually_exclusive_group(required=True)
     marked.add_argument("--marked", type=str, default=None, help="comma-separated marked indices")
     marked.add_argument("--marked-count", dest="marked_count", type=int, default=None)
-    p_state.add_argument("--seed", type=int, default=0, help="seed for --marked-count sampling")
+    p_state.add_argument("--seed", type=int, default=None, help="seed for --marked-count (default 0)")
     p_state.set_defaults(handler=cmd_statevector)
 
     p_verify = sub.add_parser("verify", parents=[common], help="run the invariant verification suite")

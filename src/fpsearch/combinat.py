@@ -286,6 +286,15 @@ def _check_subsets(L: int, subsets) -> np.ndarray:
     return arr.astype(np.int64)
 
 
+def _shift_products(L: int, rows: np.ndarray, shifts: np.ndarray) -> np.ndarray:
+    # out[s, j] = prod_m i tan((rows[s, m] + shifts[j]) pi / L), one subset column at a time
+    t = 1j * tan_table(L)
+    out = np.ones((rows.shape[0], len(shifts)), dtype=complex)
+    for column in rows.T:
+        out *= t[(column[:, None] + shifts) % L]
+    return out
+
+
 def tangent_sum_terms(L: int, subsets) -> np.ndarray:
     """The L shift products prod_m i tan((l_m + j) pi / L), one per j in [L].
 
@@ -297,12 +306,7 @@ def tangent_sum_terms(L: int, subsets) -> np.ndarray:
     """
     L = _check_L(L, MAX_TANGENT_L, "the tangent sum")
     idx = _check_subsets(L, subsets)
-    rows = idx.reshape(-1, idx.shape[-1])
-    t = 1j * tan_table(L)
-    shifts = np.arange(L)
-    out = np.ones((rows.shape[0], L), dtype=complex)
-    for column in rows.T:
-        out *= t[(column[:, None] + shifts) % L]
+    out = _shift_products(L, idx.reshape(-1, idx.shape[-1]), np.arange(L))
     return out if idx.ndim == 2 else out[0]
 
 
@@ -322,11 +326,7 @@ def vieta_terms(L: int, k: int) -> np.ndarray:
     k = check_int(k, f"k must be in 0..{L}")
     if not 0 <= k <= L:
         raise ValueError(f"k must be in 0..{L}, got {k}")
-    t = 1j * tan_table(L)
-    out = np.ones(math.comb(L, k), dtype=complex)
-    for column in combinations_array(L, k).T:
-        out *= t[column]
-    return out
+    return _shift_products(L, combinations_array(L, k), np.zeros(1, dtype=np.int64))[:, 0]
 
 
 def vieta_sum(L: int, k: int) -> complex:

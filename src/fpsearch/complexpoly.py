@@ -62,10 +62,6 @@ class QuasiChebParams:
         check_gamma(self.gamma)
         object.__setattr__(self, "L", check_odd(self.L, 1, None, "L must be a positive odd integer"))
 
-    @property
-    def l(self) -> int:
-        return (self.L - 1) // 2
-
 
 def tan_table(L: int) -> np.ndarray:
     """tan(n pi / L) for n = 0..L-1; every entry is finite because L is odd."""

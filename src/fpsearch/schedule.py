@@ -4,16 +4,13 @@ For a lower bound w on the marked amplitude and an iteration count l, the
 schedule is
 
     alpha_k = 2 arccot(w tan((2k-1) pi / L)),
-    beta_k  = -2 arccot(w tan(2k pi / L)),        k = 1..l,  L = 2l + 1,
+    beta_k  = -2 arccot(w tan(2k pi / L)),        k = 1..l,  L = 2l + 1.
 
-together with the equivalent recursion phases
-
-    phi_n = 2 arctan(w tan(n pi / L)),            n = 1..2l,
-
-which satisfy phi_{2k-1} = pi - alpha_k and phi_{2k} = beta_k + pi.  With
-gamma = sqrt(1 - w^2) these phi_n are exactly the twist angles of the
-quasi-Chebyshev recursion, which is what makes the failure amplitude a
-Chebyshev ratio.
+A schedule stores alpha and beta; l, L and the recursion phases
+phi_{2k-1} = pi - alpha_k, phi_{2k} = beta_k + pi are derived from them.  Here
+phi_n = 2 arctan(w tan(n pi / L)), n = 1..2l, which with gamma = sqrt(1 - w^2)
+are exactly the twist angles of the quasi-Chebyshev recursion: this is what
+makes the failure amplitude a Chebyshev ratio.
 """
 
 from __future__ import annotations
@@ -77,34 +74,36 @@ def arccot(y):
 
 @dataclass(frozen=True)
 class AngleSchedule:
-    """Angle sequence driving the search.
+    """Angle sequence driving the search; ``l``, ``L`` and ``phi`` are derived from the angles.
 
-    ``alpha[k-1]`` and ``beta[k-1]`` hold alpha_k and beta_k; ``phi[n-1]``
-    holds the recursion phase phi_n.  Angles are stored unreduced (beta_1 may
-    be -3pi/2): only e^{i beta} matters downstream and reduction would
-    obscure the defining formulas.
+    ``alpha[k-1]`` and ``beta[k-1]`` hold alpha_k and beta_k, k = 1..l, and ``phi[n-1]``
+    the recursion phase phi_n.  Angles are stored unreduced (beta_1 may be -3pi/2): only
+    e^{i beta} matters downstream and reduction would obscure the defining formulas.
     """
 
     w: float
-    l: int
     alpha: np.ndarray
     beta: np.ndarray
-    phi: np.ndarray
     delta: float | None = None
 
     def __post_init__(self):
         # the search zips alpha with beta, so a short array would silently drop iterations
-        l = check_int(self.l, "l must be an integer")
-        if not len(self.alpha) == len(self.beta) == l or len(self.phi) != 2 * l:
-            raise ValueError(
-                f"l = {l} needs {l} alpha, {l} beta and {2 * l} phi angles, "
-                f"got {len(self.alpha)}, {len(self.beta)}, {len(self.phi)}"
-            )
-        object.__setattr__(self, "l", l)
+        shapes = np.shape(self.alpha), np.shape(self.beta)
+        if len(shapes[0]) != 1 or shapes[0] != shapes[1]:
+            raise ValueError(f"alpha and beta must be 1-D with equal shapes, got {shapes[0]} and {shapes[1]}")
+
+    @property
+    def l(self) -> int:
+        return len(self.alpha)
 
     @property
     def L(self) -> int:
         return 2 * self.l + 1
+
+    @property
+    def phi(self) -> np.ndarray:
+        """Recursion phases phi_1..phi_2l: pi - alpha_k and beta_k + pi, interleaved."""
+        return np.column_stack((math.pi - self.alpha, self.beta + math.pi)).ravel()
 
     def to_dict(self) -> dict:
         """JSON-ready representation (angles in radians)."""
@@ -130,8 +129,7 @@ def make_schedule(w: float, l: int, delta: float | None = None) -> AngleSchedule
     t = w * tan_table(2 * l + 1)
     alpha = 2.0 * arccot(t[1::2])
     beta = -2.0 * arccot(t[2::2])
-    phi = 2.0 * np.arctan(t[1:])
-    return AngleSchedule(w=w, l=l, alpha=alpha, beta=beta, phi=phi, delta=delta)
+    return AngleSchedule(w=w, alpha=alpha, beta=beta, delta=delta)
 
 
 def schedule_for(params: SearchParams) -> AngleSchedule:

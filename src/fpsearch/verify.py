@@ -53,83 +53,88 @@ def _result(name, L, params, devs, tol) -> CheckResult:
     return CheckResult(check_name=name, L=L, params=params, max_deviation=float(dev), passed=bool(dev <= tol))
 
 
+def _degrees(lo: int, cap: int, max_L: int) -> range:
+    # odd lo, cap and max_L, so the last degree is min(max_L, cap), the L a check reports
+    return range(lo, min(max_L, cap) + 1, 2)
+
+
 def _poly_degrees(max_L: int) -> list:
-    degrees = list(range(1, min(max_L, 13) + 1, 2))
-    for extra in (25, 41):
-        if extra not in degrees:
-            degrees.append(extra)
-    return degrees
+    return [*_degrees(1, 13, max_L), 25, 41]
 
 
 def check_quasi_cheb_closed_form(max_L: int) -> CheckResult:
     xs = np.linspace(-1.5, 1.5, 31)
     gammas = [0.05, 0.25, 0.5, 0.75, 1.0]
     devs = []
-    for L in _poly_degrees(max_L):
+    degrees = _poly_degrees(max_L)
+    for L in degrees:
         for gamma in gammas:
             params = complexpoly.QuasiChebParams(gamma=gamma, L=L)
             rec = complexpoly.quasi_cheb_recursive(params, xs)
             closed = complexpoly.quasi_cheb_closed(params, xs)
             scale = 1.0 + np.abs(closed)
             devs += (np.abs(rec - closed) / scale, np.abs(rec.imag) / (1.0 + np.abs(rec)))
-    return _result("quasi_cheb_closed_form", max(_poly_degrees(max_L)), {"gammas": gammas}, devs, 1e-9)
+    return _result("quasi_cheb_closed_form", degrees[-1], {"gammas": gammas}, devs, 1e-9)
 
 
 def check_quasi_cheb_parity(max_L: int) -> CheckResult:
     xs = np.linspace(0.0, 1.0, 21)
     devs = []
-    for L in _poly_degrees(max_L):
+    degrees = _poly_degrees(max_L)
+    for L in degrees:
         for gamma in (0.3, 0.7, 1.0):
             params = complexpoly.QuasiChebParams(gamma=gamma, L=L)
             left = complexpoly.quasi_cheb_recursive(params, -xs)
             right = complexpoly.quasi_cheb_recursive(params, xs)
             devs.append(np.abs(left + right))
-    return _result("quasi_cheb_parity", max(_poly_degrees(max_L)), {}, devs, 1e-10)
+    return _result("quasi_cheb_parity", degrees[-1], {}, devs, 1e-10)
 
 
 def check_quasi_cheb_boundedness(max_L: int) -> CheckResult:
     devs = []
-    for L in _poly_degrees(max_L):
+    degrees = _poly_degrees(max_L)
+    for L in degrees:
         for gamma in (0.2, 0.5, 0.9, 1.0):
             params = complexpoly.QuasiChebParams(gamma=gamma, L=L)
             bound = 1.0 / complexpoly.chebyshev_T(L, 1.0 / gamma)
             xs = np.linspace(-gamma, gamma, 41)
             values = np.abs(complexpoly.quasi_cheb_closed(params, xs))
             devs.append(values - bound)
-    return _result("quasi_cheb_boundedness", max(_poly_degrees(max_L)), {}, devs, 1e-12)
+    return _result("quasi_cheb_boundedness", degrees[-1], {}, devs, 1e-12)
 
 
 def check_n_over_d(max_L: int) -> CheckResult:
     xs = np.linspace(-1.0, 1.0, 21)
     devs = []
-    top = min(max_L, 13)
-    for L in range(1, top + 1, 2):
+    degrees = _degrees(1, 13, max_L)
+    for L in degrees:
         for gamma in (0.3, 0.6, 1.0):
             params = complexpoly.QuasiChebParams(gamma=gamma, L=L)
             ratio = npoly.polyval(xs, complexpoly.n_poly_coeffs(params)) / complexpoly.d_product(params)
             rec = complexpoly.quasi_cheb_recursive(params, xs)
             devs.append(np.abs(ratio - rec))
-    return _result("n_over_d_consistency", top, {}, devs, 1e-9)
+    return _result("n_over_d_consistency", degrees[-1], {}, devs, 1e-9)
 
 
 def check_gamma_one_degeneracy(max_L: int) -> CheckResult:
     devs = []
-    top = min(max_L, 13)
-    for L in range(1, top + 1, 2):
+    degrees = _degrees(1, 13, max_L)
+    for L in degrees:
         coeffs = complexpoly.quasi_cheb_coeffs(complexpoly.QuasiChebParams(gamma=1.0, L=L))
         devs.append(np.abs(coeffs - chebyshev.cheb2poly(np.eye(L + 1)[L])))
-    return _result("gamma_one_degeneracy", top, {}, devs, 1e-12)
+    return _result("gamma_one_degeneracy", degrees[-1], {}, devs, 1e-12)
 
 
 def check_d_product_identity(max_L: int) -> CheckResult:
     devs = []
-    for L in _poly_degrees(max_L):
+    degrees = _poly_degrees(max_L)
+    for L in degrees:
         for gamma in (0.05, 0.1, 0.3, 0.7, 1.0):
             params = complexpoly.QuasiChebParams(gamma=gamma, L=L)
             d_val = complexpoly.d_product(params)
             ref = gamma**L * complexpoly.chebyshev_T(L, 1.0 / gamma)
             devs += (abs(d_val - ref) / abs(ref), abs(d_val.imag) / abs(d_val))
-    return _result("d_product_identity", max(_poly_degrees(max_L)), {}, devs, 1e-10)
+    return _result("d_product_identity", degrees[-1], {}, devs, 1e-10)
 
 
 def check_arccot_branch(rng) -> CheckResult:
@@ -144,14 +149,10 @@ def check_schedule_relations() -> CheckResult:
         for l in (1, 2, 5, 12):
             sched = schedule.make_schedule(w, l)
             params = complexpoly.QuasiChebParams(gamma=math.sqrt(1.0 - w * w), L=sched.L)
-            # phi_{2k-1} = pi - alpha_k, phi_{2k} = beta_k + pi, phi_{L-n} = -phi_n, twist angle phi_n
-            gaps = np.concatenate([
-                sched.phi[0::2] - (math.pi - sched.alpha),
-                sched.phi[1::2] - (sched.beta + math.pi),
-                sched.phi[::-1] + sched.phi,
-                sched.phi - complexpoly.phi_angles(params),
-            ])
-            devs.append(np.abs(gaps))
+            # phi_{L-n} = -phi_n and phi_n equals the twist angle; phi is taken from alpha and
+            # beta, so these two carry phi_{2k-1} = pi - alpha_k and phi_{2k} = beta_k + pi
+            phi = sched.phi
+            devs += (np.abs(phi[::-1] + phi), np.abs(phi - complexpoly.phi_angles(params)))
     return _result("schedule_phase_relations", None, {}, devs, 1e-12)
 
 
@@ -209,9 +210,8 @@ def check_classic_grover_stop() -> CheckResult:
     devs = []
     for lam in np.linspace(0.02, 0.98, 25):
         # the plain search: alpha_k = beta_k = pi, stopped at the optimal count
-        l = sim2d.classic_grover_optimal(lam)
-        pi = np.full(l, math.pi)
-        plain = schedule.AngleSchedule(w=lam, l=l, alpha=pi, beta=pi, phi=np.zeros(2 * l))
+        pi = np.full(sim2d.classic_grover_optimal(lam), math.pi)
+        plain = schedule.AngleSchedule(w=lam, alpha=pi, beta=pi)
         prob = abs(sim2d.run_search(math.sqrt(1.0 - lam * lam), plain).t_amp) ** 2
         devs.append(max(1.0 - lam * lam, lam * lam) - prob)
     return _result("classic_grover_stop", None, {}, devs, 1e-12)
@@ -226,7 +226,7 @@ def check_subspace_reduction(rng) -> CheckResult:
             indices = tuple(rng.choice(dim, size=size, replace=False))
             marked = statevector.MarkedSet(indices=indices, n_qubits=n)
             w = max(0.05, 0.9 * marked.lam)
-            sched = schedule.make_schedule(w, schedule.min_iterations(schedule.SearchParams(w=w, delta=0.3)))
+            sched = schedule.schedule_for(schedule.SearchParams(w=w, delta=0.3))
             full = statevector.run_full_search(n, marked, sched)
             x = math.sqrt(max(0.0, 1.0 - marked.lam**2))
             two_dim = abs(sim2d.run_search(x, sched).t_amp)
@@ -270,40 +270,40 @@ def check_permutation_invariance(rng) -> CheckResult:
 
 def check_weight_totals(max_L: int) -> CheckResult:
     devs = []
-    top = min(max_L, combinat.MAX_WEIGHT_L)
-    for L in range(3, top + 1, 2):
+    degrees = _degrees(3, combinat.MAX_WEIGHT_L, max_L)
+    for L in degrees:
         for gamma in (0.3, 0.7, 1.0):
             for x in (0.2, 0.5, 1.0):
                 ref = combinat.n_poly_value(L, gamma, x)
                 scale = 1.0 + abs(ref)
                 devs.append(abs(combinat.total_star_weight(L, gamma, x) - 2.0 * ref) / scale)
                 devs.append(abs(combinat.total_line_weight(L, gamma, x) - ref) / scale)
-    return _result("tiling_weight_totals", top, {}, devs, 1e-9)
+    return _result("tiling_weight_totals", degrees[-1], {}, devs, 1e-9)
 
 
 def check_bijection(max_L: int) -> CheckResult:
-    top = min(max_L, 11)
-    ok = all(combinat.star_line_bijection_holds(L) for L in range(3, top + 1, 2))
-    return _result("star_line_bijection", top, {}, [0.0 if ok else 1.0], 0.5)
+    degrees = _degrees(3, 11, max_L)
+    ok = all(combinat.star_line_bijection_holds(L) for L in degrees)
+    return _result("star_line_bijection", degrees[-1], {}, [0.0 if ok else 1.0], 0.5)
 
 
 def check_reflection(max_L: int) -> CheckResult:
     devs = []
-    top = min(max_L, 9)
-    for L in range(3, top + 1, 2):
+    degrees = _degrees(3, 9, max_L)
+    for L in degrees:
         model = combinat.WeightModel(variant="A", w=0.6, x=0.8)
         for tiling in combinat.enumerate_tilings(L, wrap=True):
             mirrored = combinat.reflect(tiling)
             if combinat.reflect(mirrored) != tiling:
                 devs.append(1.0)
             devs.append(abs(combinat.tiling_weight(tiling, model) - combinat.tiling_weight(mirrored, model)))
-    return _result("reflection_involution", top, {}, devs, 1e-10)
+    return _result("reflection_involution", degrees[-1], {}, devs, 1e-10)
 
 
 def check_orbit_partition(max_L: int) -> CheckResult:
     devs = []
-    top = min(max_L, 9)
-    for L in range(3, top + 1, 2):
+    degrees = _degrees(3, 9, max_L)
+    for L in degrees:
         tilings = set(combinat.enumerate_tilings(L, wrap=True))
         seen = set()
         for tiling in sorted(tilings, key=lambda t: sorted(t.dominoes)):
@@ -313,23 +313,23 @@ def check_orbit_partition(max_L: int) -> CheckResult:
             devs.append(1.0 if orbit & seen else 0.0)
             seen |= orbit
         devs.append(1.0 if seen != tilings else 0.0)
-    return _result("orbit_partition", top, {}, devs, 0.5)
+    return _result("orbit_partition", degrees[-1], {}, devs, 0.5)
 
 
 def check_coefficient_compare(max_L: int) -> CheckResult:
     devs = []
-    top = min(max_L, combinat.MAX_COMPARE_L)
-    for L in range(3, top + 1, 2):
+    degrees = _degrees(3, combinat.MAX_COMPARE_L, max_L)
+    for L in degrees:
         for n_s in range(1, L + 1, 2):
             report = combinat.coefficient_compare(L, n_s)
             devs += (report.max_deviation, report.max_odd_coefficient)
-    return _result("coefficient_compare", top, {}, devs, combinat.COEFF_TOL)
+    return _result("coefficient_compare", degrees[-1], {}, devs, combinat.COEFF_TOL)
 
 
 def check_tangent_sum(max_L: int, rng) -> CheckResult:
     devs = []
-    top = min(max_L, combinat.MAX_TANGENT_L)
-    for L in range(3, top + 1, 2):
+    degrees = _degrees(3, combinat.MAX_TANGENT_L, max_L)
+    for L in degrees:
         for k in range(1, L + 1):
             if math.comb(L, k) <= SUBSETS_PER_CASE:
                 cases = combinat.combinations_array(L, k)
@@ -345,31 +345,32 @@ def check_tangent_sum(max_L: int, rng) -> CheckResult:
             # a zero largest term means every term is zero; the gap itself is the deviation
             scaled = np.divide(gap, max_term, out=gap.copy(), where=max_term != 0.0)
             devs.append(scaled)
-    return _result("tangent_sum_identity", top, {"subsets_per_case": SUBSETS_PER_CASE}, devs, TANGENT_TOL)
+    params = {"subsets_per_case": SUBSETS_PER_CASE}
+    return _result("tangent_sum_identity", degrees[-1], params, devs, TANGENT_TOL)
 
 
 def check_tangent_base_cases(max_L: int) -> CheckResult:
     devs = []
-    top = min(max_L, combinat.MAX_VIETA_L)
-    for L in range(3, top + 1, 2):
+    degrees = _degrees(3, combinat.MAX_VIETA_L, max_L)
+    for L in degrees:
         # size-L subset: a zero tangent factor appears in every shift
         devs.append(abs(combinat.tangent_sum(L, range(L))))
         # size-(L-1) subsets reduce to the all-subsets sum
         full_minus_one = [n for n in range(L) if n != 2]
         devs.append(abs(combinat.tangent_sum(L, full_minus_one) - combinat.vieta_sum(L, L - 1)))
-    return _result("tangent_base_cases", top, {}, devs, 1e-8)
+    return _result("tangent_base_cases", degrees[-1], {}, devs, 1e-8)
 
 
 def check_vieta(max_L: int) -> CheckResult:
     devs = []
-    top = min(max_L, combinat.MAX_VIETA_L)
-    for L in range(3, top + 1, 2):
+    degrees = _degrees(3, combinat.MAX_VIETA_L, max_L)
+    for L in degrees:
         for k in range(0, L + 1):
             terms = combinat.vieta_terms(L, k)
             expected = math.comb(L, k) if k % 2 == 0 else 0.0
             scale = max(1.0, float(np.sum(np.abs(terms))))
             devs.append(abs(terms.sum() - expected) / scale)
-    return _result("vieta_identity", top, {}, devs, TANGENT_TOL)
+    return _result("vieta_identity", degrees[-1], {}, devs, TANGENT_TOL)
 
 
 def check_tangent_subtraction(rng) -> CheckResult:

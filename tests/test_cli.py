@@ -250,6 +250,20 @@ class TestStatevector:
         _, second, _ = run_cli(capsys, *args)
         assert first == second
 
+    def test_seed_defaults_to_zero(self, capsys):
+        args = ("statevector", "--qubits", "6", "--marked-count", "3", "--w", "0.2", "--delta", "0.3")
+        code, unseeded, _ = run_cli(capsys, *args)
+        assert code == EXIT_OK
+        assert run_cli(capsys, *args, "--seed", "0")[1] == unseeded
+
+    def test_seed_rejected_with_explicit_marked(self, capsys):
+        code, out, err = run_cli(
+            capsys, "statevector", "--qubits", "2", "--marked", "0", "--seed", "99", "--w", "0.5", "--l", "1"
+        )
+        assert code == EXIT_USAGE
+        assert out == ""
+        assert "--seed applies only to --marked-count" in err
+
     def test_qubit_cap_named(self, capsys):
         code, _, err = run_cli(
             capsys, "statevector", "--qubits", "13", "--marked", "0", "--w", "0.5", "--delta", "0.5"

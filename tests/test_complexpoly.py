@@ -125,9 +125,6 @@ class TestParams:
         params = QuasiChebParams(gamma=0.5, L=np.int64(5))
         assert params.L == 5 and type(params.L) is int
 
-    def test_half_degree(self):
-        assert QuasiChebParams(gamma=0.5, L=9).l == 4
-
 
 class TestPhiAngle:
     def test_gamma_one_vanishes(self):

@@ -1,5 +1,6 @@
 """Unit tests for the angle schedule construction."""
 
+import dataclasses
 import json
 import math
 
@@ -141,17 +142,26 @@ class TestMakeSchedule:
 
 
 class TestAngleSchedule:
-    @pytest.mark.parametrize("n_alpha,n_beta,n_phi", [(2, 2, 6), (3, 2, 6), (3, 3, 5), (4, 4, 8)])
-    def test_rejects_angle_counts_that_do_not_match_l(self, n_alpha, n_beta, n_phi):
-        # zip would run min(n_alpha, n_beta) iterations while l still reports 3
-        with pytest.raises(ValueError, match="l = 3 needs 3 alpha, 3 beta and 6 phi angles"):
-            AngleSchedule(w=0.2, l=3, alpha=np.ones(n_alpha), beta=np.ones(n_beta), phi=np.zeros(n_phi))
-
     def test_reads_l_as_an_integer(self):
-        sched = AngleSchedule(w=0.2, l=np.int64(2), alpha=np.ones(2), beta=np.ones(2), phi=np.zeros(4))
-        assert type(sched.l) is int
-        with pytest.raises(ValueError, match="l must be an integer, got 2.0"):
-            AngleSchedule(w=0.2, l=2.0, alpha=np.ones(2), beta=np.ones(2), phi=np.zeros(4))
+        # l is the number of alpha angles, not a field that could disagree with them
+        assert [f.name for f in dataclasses.fields(AngleSchedule)] == ["w", "alpha", "beta", "delta"]
+        sched = AngleSchedule(w=0.2, alpha=np.ones(2), beta=np.ones(2))
+        assert type(sched.l) is int and sched.l == 2 and sched.L == 5
+
+    def test_derives_phi_from_a_plain_schedule(self):
+        # alpha_k = beta_k = pi: phi_{2k-1} = pi - alpha_k = 0 and phi_{2k} = beta_k + pi = 2 pi
+        sched = AngleSchedule(w=0.5, alpha=np.full(3, math.pi), beta=np.full(3, math.pi))
+        assert np.array_equal(sched.phi, [0.0, 2.0 * math.pi] * 3)
+
+    @pytest.mark.parametrize(
+        "alpha,beta",
+        [(np.ones(3), np.ones(2)), (np.ones(2), np.ones(3)), (np.ones((2, 2)), np.ones((2, 2))), (1.0, 1.0)],
+        ids=["short-beta", "short-alpha", "2-D", "0-D"],
+    )
+    def test_rejects_unequal_or_non_1d_angles(self, alpha, beta):
+        # zip would run min(len(alpha), len(beta)) iterations
+        with pytest.raises(ValueError, match="alpha and beta must be 1-D with equal shapes"):
+            AngleSchedule(w=0.2, alpha=alpha, beta=beta)
 
 
 class TestBounds:

@@ -47,7 +47,7 @@ def _matrix_loop(x, sched):
 def plain_schedule(l):
     # alpha_k = beta_k = pi: the plain search, as verify's classic_grover_stop runs it
     pi = np.full(l, math.pi)
-    return AngleSchedule(w=0.5, l=l, alpha=pi, beta=pi, phi=np.zeros(2 * l))
+    return AngleSchedule(w=0.5, alpha=pi, beta=pi)
 
 
 class TestRotation:

@@ -215,13 +215,7 @@ class TestFullSearch:
         # only rephases psi0 and P stays lambda^2
         rng = np.random.default_rng(12)
         l = 7
-        sched = AngleSchedule(
-            w=0.2,
-            l=l,
-            alpha=np.zeros(l),
-            beta=rng.uniform(-math.pi, math.pi, size=l),
-            phi=np.zeros(2 * l),
-        )
+        sched = AngleSchedule(w=0.2, alpha=np.zeros(l), beta=rng.uniform(-math.pi, math.pi, size=l))
         marked = MarkedSet(indices=(3, 17, 30), n_qubits=5)
         result = run_full_search(5, marked, sched)
         assert abs(result.success_probability - marked.lam**2) <= 1e-12
