@@ -30,7 +30,12 @@ EVAL_MAX_DEGREE = 100_000
 
 
 def check_int(value, what: str) -> int:
-    """Read a count as a Python int; a float is never truncated, not even an integral one."""
+    """Read a count as a Python int; a float is never truncated, not even an integral one.
+
+    A bool is not a count either, although ``operator.index(True)`` is 1.
+    """
+    if isinstance(value, (bool, np.bool_)):
+        raise ValueError(f"{what}, got {value!r}")
     try:
         return operator.index(value)
     except TypeError:

@@ -54,12 +54,17 @@ class SearchParams:
             raise ValueError(f"delta must be in (0, 1), got {self.delta}")
 
 
+def _iteration_bound(params: SearchParams) -> float:
+    # ln(2/delta) / (2w); inf at the smallest subnormal w
+    return math.log(2.0 / params.delta) / (2.0 * params.w)
+
+
 def min_iterations(params: SearchParams) -> int:
     """Smallest iteration count honouring the guarantee: ceil(ln(2/delta) / (2w)).
 
     Never less than 1; a zero-iteration schedule guarantees nothing.
     """
-    return max(1, math.ceil(math.log(2.0 / params.delta) / (2.0 * params.w)))
+    return max(1, math.ceil(_iteration_bound(params)))
 
 
 def arccot(y):
@@ -87,10 +92,16 @@ class AngleSchedule:
     delta: float | None = None
 
     def __post_init__(self):
+        check_w_l(self.w)
+        # lists become float arrays; a float array is kept as it is, without a copy
+        for name in ("alpha", "beta"):
+            object.__setattr__(self, name, np.asarray(getattr(self, name), dtype=float))
         # the search zips alpha with beta, so a short array would silently drop iterations
-        shapes = np.shape(self.alpha), np.shape(self.beta)
+        shapes = self.alpha.shape, self.beta.shape
         if len(shapes[0]) != 1 or shapes[0] != shapes[1]:
             raise ValueError(f"alpha and beta must be 1-D with equal shapes, got {shapes[0]} and {shapes[1]}")
+        if not (np.isfinite(self.alpha).all() and np.isfinite(self.beta).all()):
+            raise ValueError("alpha and beta must be finite")
 
     @property
     def l(self) -> int:
@@ -133,5 +144,13 @@ def make_schedule(w: float, l: int, delta: float | None = None) -> AngleSchedule
 
 
 def schedule_for(params: SearchParams) -> AngleSchedule:
-    """Schedule at the minimal iteration count for (w, delta)."""
+    """Schedule at the minimal iteration count for (w, delta).
+
+    Raises ValueError naming w, delta and the cap when that count exceeds MAX_ITERATIONS.
+    """
+    # compared before rounding: the count can have hundreds of digits, or be inf
+    if _iteration_bound(params) > MAX_ITERATIONS:
+        raise ValueError(
+            f"w = {params.w} and delta = {params.delta} need more than {MAX_ITERATIONS} iterations, the cap on l"
+        )
     return make_schedule(params.w, min_iterations(params), delta=params.delta)

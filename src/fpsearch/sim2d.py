@@ -55,8 +55,10 @@ class TwoDimState:
 
 
 # run_search slices an array of x into blocks of this many points, so that its
-# working vectors stay in cache; every update is elementwise, so the slicing
-# changes no value
+# working vectors stay in cache.  Results reproduce only at a fixed block size:
+# at another one numpy's complex loops round some entries differently (4096- and
+# 16384-point blocks differ by up to 8.1e-15 in t_amp over 10^5 points at
+# w = 0.01, l = 265)
 _BLOCK = 4096
 
 

@@ -55,6 +55,14 @@ class TestAngles:
         code, _, _ = run_cli(capsys, "angles", "--w", "0.5")
         assert code == EXIT_USAGE
 
+    @pytest.mark.parametrize("w", ["1e-300", "5e-324"])
+    def test_count_past_the_cap_names_the_inputs(self, capsys, w):
+        # the minimal count has about 300 digits at w = 1e-300 and overflows to inf at 5e-324
+        code, _, err = run_cli(capsys, "angles", "--w", w, "--delta", "0.1")
+        assert code == EXIT_USAGE
+        assert len(err) < 200
+        assert err == f"error: w = {float(w)} and delta = 0.1 need more than 49999 iterations, the cap on l\n"
+
 
 class TestSweep:
     def test_endpoint_rows(self, capsys):

@@ -56,7 +56,7 @@ class TestCheckInt:
         out = check_int(value, "n must be an integer")
         assert type(out) is int and out == 5
 
-    @pytest.mark.parametrize("value", [5.0, np.float64(5.0), 5.5, "5", None])
+    @pytest.mark.parametrize("value", [5.0, np.float64(5.0), 5.5, "5", None, True, np.True_])
     def test_non_integers_raise_naming_the_value(self, value):
         with pytest.raises(ValueError) as info:
             check_int(value, "n must be an integer")

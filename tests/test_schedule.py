@@ -19,6 +19,7 @@ from fpsearch.schedule import (
     min_iterations,
     schedule_for,
 )
+from fpsearch.sim2d import run_search
 
 
 class TestSearchParams:
@@ -113,7 +114,7 @@ class TestMakeSchedule:
             assert sched.phi[L - n - 1] == pytest.approx(-sched.phi[n - 1], abs=1e-12)
 
     @pytest.mark.parametrize(
-        "w,l", [(0.0, 3), (1.0, 3), (-0.1, 3), (math.nan, 3), (0.5, 0), (0.5, -2), (0.1, 50_000)]
+        "w,l", [(0.0, 3), (1.0, 3), (-0.1, 3), (math.nan, 3), (0.5, 0), (0.5, -2), (0.1, 50_000), (0.5, True)]
     )
     def test_invalid_inputs(self, w, l):
         with pytest.raises(ValueError):
@@ -140,6 +141,13 @@ class TestMakeSchedule:
         assert sched.l == 12
         assert sched.delta == 0.3
 
+    def test_schedule_for_stops_at_the_cap(self):
+        # w at which ln(2 / 0.1) / (2w) is half an iteration below and above MAX_ITERATIONS
+        below, above = (math.log(20.0) / (2.0 * (MAX_ITERATIONS + d)) for d in (-0.5, 0.5))
+        assert schedule_for(SearchParams(w=below, delta=0.1)).l == MAX_ITERATIONS
+        with pytest.raises(ValueError, match=f"w = {above} and delta = 0.1 need more than 49999 iterations"):
+            schedule_for(SearchParams(w=above, delta=0.1))
+
 
 class TestAngleSchedule:
     def test_reads_l_as_an_integer(self):
@@ -162,6 +170,33 @@ class TestAngleSchedule:
         # zip would run min(len(alpha), len(beta)) iterations
         with pytest.raises(ValueError, match="alpha and beta must be 1-D with equal shapes"):
             AngleSchedule(w=0.2, alpha=alpha, beta=beta)
+
+    def test_reads_lists_as_float_arrays(self):
+        # run_search multiplies the angles by complex numbers, which a list does not support
+        listed = AngleSchedule(w=0.5, alpha=[1.0, 2.0], beta=[1.0, 2.0])
+        arrays = AngleSchedule(w=0.5, alpha=np.array([1.0, 2.0]), beta=np.array([1.0, 2.0]))
+        assert listed.alpha.dtype == listed.beta.dtype == np.float64
+        assert run_search(0.5, listed) == run_search(0.5, arrays)
+        assert listed.to_dict() == arrays.to_dict()
+
+    def test_keeps_float_arrays_without_a_copy(self):
+        alpha, beta = np.ones(3), np.ones(3)
+        sched = AngleSchedule(w=0.2, alpha=alpha, beta=beta)
+        assert sched.alpha is alpha and sched.beta is beta
+
+    @pytest.mark.parametrize("w", [5.0, 0.0, 1.0, math.nan])
+    def test_rejects_w_outside_the_unit_interval(self, w):
+        with pytest.raises(ValueError, match="w must be in"):
+            AngleSchedule(w=w, alpha=np.ones(2), beta=np.ones(2))
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    @pytest.mark.parametrize("field", ["alpha", "beta"])
+    def test_rejects_non_finite_angles(self, field, bad):
+        # a NaN angle would come out of run_search as nan+nanj, with no error
+        angles = {"alpha": np.ones(2), "beta": np.ones(2)}
+        angles[field] = np.array([1.0, bad])
+        with pytest.raises(ValueError, match="alpha and beta must be finite"):
+            AngleSchedule(w=0.5, **angles)
 
 
 class TestBounds:

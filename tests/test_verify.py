@@ -16,32 +16,53 @@ from fpsearch.verify import SUBSETS_PER_CASE, _result, check_tangent_sum, run_ve
 def _sampled_cases(L, k, rng):
     if math.comb(L, k) <= SUBSETS_PER_CASE:
         return [list(c) for c in combinations(range(L), k)]
-    return [rng.choice(L, size=k, replace=False) for _ in range(SUBSETS_PER_CASE)]
+    # the check's rng.permuted(..., axis=1) shuffles its rows in order, as one rng.shuffle per row does
+    cases = []
+    for _ in range(SUBSETS_PER_CASE):
+        row = np.arange(L)
+        rng.shuffle(row)
+        cases.append(row[:k])
+    return cases
 
 
-def test_tangent_sum_leaves_rng_as_single_draws():
-    # a given `verify --seed` reproduces earlier results only if the check draws one rng.choice per subset
+def test_tangent_sum_leaves_rng_as_one_draw_per_case():
+    # the rng checks after it see the state that one rng.permuted per sampled (L, k) case leaves
     rng = np.random.default_rng(42)
     check_tangent_sum(25, rng)
     ref = np.random.default_rng(42)
     for L in range(3, 26, 2):
         for k in range(1, L + 1):
-            _sampled_cases(L, k, ref)
+            if math.comb(L, k) > SUBSETS_PER_CASE:
+                ref.permuted(np.tile(np.arange(L), (SUBSETS_PER_CASE, 1)), axis=1)
     assert rng.bit_generator.state == ref.bit_generator.state
 
 
-def test_tangent_sum_matches_per_subset_reference():
+def test_tangent_sum_matches_per_subset_reference(monkeypatch):
     dev = 0.0
+    reference = []
     ref_rng = np.random.default_rng(7)
     for L in range(3, 14, 2):
         for k in range(1, L + 1):
             expected = float(L) if k % 2 == 0 else 0.0
-            for subset in _sampled_cases(L, k, ref_rng):
+            cases = _sampled_cases(L, k, ref_rng)
+            reference.append((L, np.array(cases)))
+            for subset in cases:
                 terms = tangent_sum_terms(L, subset)
                 max_term = float(np.max(np.abs(terms)))
                 gap = abs(terms.sum() - expected)
                 dev = max(dev, gap / max_term if max_term else gap)
+    # the check must test the reference's subsets, sampled ones included, not only match its worst deviation
+    seen = []
+
+    def recording(L, cases):
+        seen.append((L, cases))
+        return tangent_sum_terms(L, cases)
+
+    monkeypatch.setattr(combinat, "tangent_sum_terms", recording)
     result = check_tangent_sum(13, np.random.default_rng(7))
+    assert len(seen) == len(reference)
+    for (L, cases), (ref_L, ref_cases) in zip(seen, reference):
+        assert L == ref_L and np.array_equal(cases, ref_cases)
     assert result.max_deviation == dev
     assert result.passed
 
