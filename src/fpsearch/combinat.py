@@ -287,11 +287,14 @@ def _check_subsets(L: int, subsets) -> np.ndarray:
 
 
 def _shift_products(L: int, rows: np.ndarray, shifts: np.ndarray) -> np.ndarray:
-    # out[s, j] = prod_m i tan((rows[s, m] + shifts[j]) pi / L), one subset column at a time
+    # out[s, j] = prod_m i tan((rows[s, m] + shifts[j]) pi / L).  Row a of the
+    # (L, len(shifts)) circulant table holds i tan((a + shifts[j]) pi / L) for
+    # every j, so each subset column multiplies in as one row gather
     t = 1j * tan_table(L)
+    table = t[(np.arange(L)[:, None] + shifts) % L]
     out = np.ones((rows.shape[0], len(shifts)), dtype=complex)
     for column in rows.T:
-        out *= t[(column[:, None] + shifts) % L]
+        out *= table[column]
     return out
 
 
@@ -301,8 +304,9 @@ def tangent_sum_terms(L: int, subsets) -> np.ndarray:
     ``subsets`` is one subset {l_m} (any integer sequence), giving an (L,)
     array, or an (S, k) integer array of S subsets of equal size k, giving
     an (S, L) array whose row s holds the shift products of subset s.  One
-    tangent table serves the whole batch, and the products are taken one
-    subset column at a time, so temporaries stay O(S L).
+    (L, L) circulant table, row a holding i tan((a + j) pi / L) for every
+    shift j, serves the whole batch; each subset column multiplies in as one
+    gather of table rows, so temporaries stay O(S L).
     """
     L = _check_L(L, MAX_TANGENT_L, "the tangent sum")
     idx = _check_subsets(L, subsets)

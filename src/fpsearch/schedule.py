@@ -64,7 +64,12 @@ def min_iterations(params: SearchParams) -> int:
 
     Never less than 1; a zero-iteration schedule guarantees nothing.
     """
-    return max(1, math.ceil(_iteration_bound(params)))
+    bound = _iteration_bound(params)
+    if not math.isfinite(bound):
+        raise ValueError(
+            f"w = {params.w} and delta = {params.delta} give an infinite iteration count ln(2/delta) / (2w)"
+        )
+    return max(1, math.ceil(bound))
 
 
 def arccot(y):
@@ -93,15 +98,19 @@ class AngleSchedule:
 
     def __post_init__(self):
         check_w_l(self.w)
-        # lists become float arrays; a float array is kept as it is, without a copy
+        # lists become float arrays; a float array is kept as it is, without a copy.
+        # Complex angles are rejected, not cast: the cast would drop their imaginary parts
         for name in ("alpha", "beta"):
-            object.__setattr__(self, name, np.asarray(getattr(self, name), dtype=float))
+            angles = getattr(self, name)
+            if np.iscomplexobj(angles):
+                raise ValueError(f"alpha and beta must be finite real numbers, got complex {name}")
+            object.__setattr__(self, name, np.asarray(angles, dtype=float))
         # the search zips alpha with beta, so a short array would silently drop iterations
         shapes = self.alpha.shape, self.beta.shape
         if len(shapes[0]) != 1 or shapes[0] != shapes[1]:
             raise ValueError(f"alpha and beta must be 1-D with equal shapes, got {shapes[0]} and {shapes[1]}")
         if not (np.isfinite(self.alpha).all() and np.isfinite(self.beta).all()):
-            raise ValueError("alpha and beta must be finite")
+            raise ValueError("alpha and beta must be finite real numbers")
 
     @property
     def l(self) -> int:

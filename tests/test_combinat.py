@@ -10,8 +10,12 @@ from hypothesis import strategies as st
 
 from fpsearch.combinat import (
     COEFF_TOL,
+    MAX_TANGENT_L,
+    MAX_VIETA_L,
     Tiling,
     WeightModel,
+    _shift_products,
+    combinations_array,
     coefficient_compare,
     enumerate_tilings,
     n_poly_value,
@@ -27,7 +31,7 @@ from fpsearch.combinat import (
     vieta_sum,
     vieta_terms,
 )
-from fpsearch.complexpoly import chebyshev_T
+from fpsearch.complexpoly import chebyshev_T, tan_table
 
 LUCAS = {3: 4, 5: 11, 7: 29, 9: 76, 11: 199, 13: 521, 15: 1364}
 
@@ -382,6 +386,33 @@ class TestVietaSum:
             vieta_sum(17, 1)
         with pytest.raises(ValueError, match="got 2.0"):
             vieta_terms(9, 2.0)
+
+
+def _add_modulo_gather(L, rows, shifts):
+    # the shift-product loop before the circulant table: each subset column
+    # adds the shifts, reduces the sum mod L and gathers from the tangent table
+    t = 1j * tan_table(L)
+    out = np.ones((rows.shape[0], len(shifts)), dtype=complex)
+    for column in rows.T:
+        out *= t[(column[:, None] + shifts) % L]
+    return out
+
+
+class TestShiftProducts:
+    @pytest.mark.parametrize("L", range(3, MAX_TANGENT_L + 1, 2))
+    def test_matches_add_modulo_gather(self, L):
+        # bit-identical: the same factors, multiplied in the same order
+        rng = np.random.default_rng(L)
+        for k in range(L + 1):
+            rows = rng.permuted(np.tile(np.arange(L), (40, 1)), axis=1)[:, :k]
+            for shifts in (np.arange(L), np.zeros(1, dtype=np.int64)):
+                assert np.array_equal(_shift_products(L, rows, shifts), _add_modulo_gather(L, rows, shifts))
+            if k:
+                assert np.array_equal(tangent_sum_terms(L, rows), _add_modulo_gather(L, rows, np.arange(L)))
+            if L <= MAX_VIETA_L:
+                every_subset = combinations_array(L, k).astype(np.int64)
+                reference = _add_modulo_gather(L, every_subset, np.zeros(1, dtype=np.int64))[:, 0]
+                assert np.array_equal(vieta_terms(L, k), reference)
 
 
 class TestRotationsAndReflection:

@@ -48,6 +48,12 @@ class TestMinIterations:
     def test_floors_at_one(self):
         assert min_iterations(SearchParams(w=0.99, delta=0.99)) == 1
 
+    @pytest.mark.parametrize("w,delta", [(5e-324, 0.1), (0.5, 5e-324)])
+    def test_infinite_count_names_the_inputs(self, w, delta):
+        # ln(2/delta) / (2w) overflows to inf, which math.ceil cannot round
+        with pytest.raises(ValueError, match=f"w = {w} and delta = {delta} give an infinite iteration count"):
+            min_iterations(SearchParams(w=w, delta=delta))
+
 
 class TestArccot:
     def test_anchor_values(self):
@@ -189,14 +195,15 @@ class TestAngleSchedule:
         with pytest.raises(ValueError, match="w must be in"):
             AngleSchedule(w=w, alpha=np.ones(2), beta=np.ones(2))
 
-    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf, 1j, 1 + 0j])
     @pytest.mark.parametrize("field", ["alpha", "beta"])
     def test_rejects_non_finite_angles(self, field, bad):
-        # a NaN angle would come out of run_search as nan+nanj, with no error
-        angles = {"alpha": np.ones(2), "beta": np.ones(2)}
-        angles[field] = np.array([1.0, bad])
-        with pytest.raises(ValueError, match="alpha and beta must be finite"):
-            AngleSchedule(w=0.5, **angles)
+        # a NaN angle would come out of run_search as nan+nanj, with no error; a complex
+        # angle, given as a list or an array, must not lose its imaginary part to a cast
+        for given in (np.array([1.0, bad]), [1.0, bad]):
+            angles = {"alpha": np.ones(2), "beta": np.ones(2), field: given}
+            with pytest.raises(ValueError, match="alpha and beta must be finite"):
+                AngleSchedule(w=0.5, **angles)
 
 
 class TestBounds:
