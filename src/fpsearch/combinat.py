@@ -158,6 +158,10 @@ class WeightModel:
 
     def __post_init__(self):
         _check_variant(self.variant)
+        for name in ("w", "x"):
+            value = getattr(self, name)
+            if not math.isfinite(value):
+                raise ValueError(f"{name} must be finite, got {value}")
 
 
 def _row_weights(bits: np.ndarray, dom: np.ndarray, x: float, modified: bool) -> np.ndarray:
@@ -286,16 +290,18 @@ def _check_subsets(L: int, subsets) -> np.ndarray:
     return arr.astype(np.int64)
 
 
-def _shift_products(L: int, rows: np.ndarray, shifts: np.ndarray) -> np.ndarray:
-    # out[s, j] = prod_m i tan((rows[s, m] + shifts[j]) pi / L).  Row a of the
-    # (L, len(shifts)) circulant table holds i tan((a + shifts[j]) pi / L) for
-    # every j, so each subset column multiplies in as one row gather
+def _shift_products(L: int, rows: np.ndarray):
+    # yields, after each column m of rows, the (S, L) products over columns
+    # 0..m: out[s, j] = prod i tan((rows[s, m'] + j) pi / L), m' <= m.  Row a of
+    # the (L, L) circulant table holds i tan((a + j) pi / L) for every shift j,
+    # so each column multiplies in as one row gather.  Every column makes a
+    # new array, so a yielded product is never overwritten by the next one
     t = 1j * tan_table(L)
-    table = t[(np.arange(L)[:, None] + shifts) % L]
-    out = np.ones((rows.shape[0], len(shifts)), dtype=complex)
+    table = t[np.add.outer(np.arange(L), np.arange(L)) % L]
+    out = np.ones((rows.shape[0], L), dtype=complex)
     for column in rows.T:
-        out *= table[column]
-    return out
+        out = out * table[column]
+        yield out
 
 
 def tangent_sum_terms(L: int, subsets) -> np.ndarray:
@@ -310,8 +316,25 @@ def tangent_sum_terms(L: int, subsets) -> np.ndarray:
     """
     L = _check_L(L, MAX_TANGENT_L, "the tangent sum")
     idx = _check_subsets(L, subsets)
-    out = _shift_products(L, idx.reshape(-1, idx.shape[-1]), np.arange(L))
+    for out in _shift_products(L, idx.reshape(-1, idx.shape[-1])):
+        pass
     return out if idx.ndim == 2 else out[0]
+
+
+def tangent_prefix_terms(L: int, orders):
+    """The shift products of every column prefix of ``orders``, from one running product.
+
+    ``orders`` is an (S, m) integer array of S rows of m distinct entries of
+    [L].  The returned iterator yields, for k = 1..m in turn, the (S, L)
+    array ``tangent_sum_terms(L, orders[:, :k])``, bit for bit: the same
+    factors multiply in the same order, but each prefix extends the one
+    before it by one column.  Input is checked once, when called.
+    """
+    L = _check_L(L, MAX_TANGENT_L, "the tangent sum")
+    idx = _check_subsets(L, orders)
+    if idx.ndim != 2:
+        raise ValueError(f"orders must be a 2-D (S, m) array, got {idx.ndim}-D input")
+    return _shift_products(L, idx)
 
 
 def tangent_sum(L: int, subset) -> complex:
@@ -324,13 +347,45 @@ def tangent_sum(L: int, subset) -> complex:
     return complex(tangent_sum_terms(L, subset).sum())
 
 
+def vieta_terms_by_size(L: int):
+    """``vieta_terms(L, k)`` for k = 0..L in turn, all from one pass over the 2^L subsets.
+
+    The real products prod tan(d pi / L) of every subset are built by
+    doubling: element d = 0, 1, .. joins as the new lowest bit of the subset
+    mask (bit L-1-d), so each product multiplies its tangents in increasing
+    d, and the size-k masks taken largest-first come in itertools order.
+    Each size's products are then multiplied by i^k, which gives the same
+    values as multiplying the factors i tan(d pi / L) one by one.
+    """
+    L = _check_L(L, MAX_VIETA_L, "the subset sum")
+    return _vieta_products(L)
+
+
+def _vieta_products(L: int):
+    # products[mask] of every subset of [L], element d at bit L-1-d: element d
+    # fills the odd multiples of 2^(L-1-d) from the products of the elements
+    # before it, in place, so each product multiplies its tangents in increasing d
+    t = tan_table(L)
+    products, sizes = np.ones(1 << L), np.zeros(1 << L, dtype=np.uint8)
+    for d in range(L):
+        step = 1 << (L - d)
+        np.multiply(products[::step], t[d], out=products[step // 2 :: step])
+        np.add(sizes[::step], 1, out=sizes[step // 2 :: step])
+    for k in range(L + 1):
+        # the size-k masks largest-first: the itertools order of the k-subsets
+        yield products[sizes == k][::-1] * (1 + 0j, 1j, -1 + 0j, -1j)[k % 4]
+
+
 def vieta_terms(L: int, k: int) -> np.ndarray:
-    """Products prod i tan(d pi / L) over every k-subset of [L]."""
+    """Products prod i tan(d pi / L) over every k-subset of [L], in itertools order.
+
+    Taken from the one-pass table of ``vieta_terms_by_size``.
+    """
     L = _check_L(L, MAX_VIETA_L, "the subset sum")
     k = check_int(k, f"k must be in 0..{L}")
     if not 0 <= k <= L:
         raise ValueError(f"k must be in 0..{L}, got {k}")
-    return _shift_products(L, combinations_array(L, k), np.zeros(1, dtype=np.int64))[:, 0]
+    return next(itertools.islice(_vieta_products(L), k, None))
 
 
 def vieta_sum(L: int, k: int) -> complex:

@@ -118,8 +118,9 @@ def quasi_cheb_recursive(params: QuasiChebParams, x):
     residue stays below 1e-9 * (1 + |a_L|).
     """
     arr = np.asarray(x, dtype=complex)
-    if np.any(np.abs(arr) > 10.0):
-        raise ValueError("recursion evaluation is guarded to |x| <= 10")
+    # written so that a NaN fails it: NaN <= 10 is False
+    if not np.all(np.abs(arr) <= 10.0):
+        raise ValueError("recursion evaluation is guarded to finite |x| <= 10")
     a_prev = np.ones_like(arr)
     a = arr.copy()
     for e in np.exp(-1j * phi_angles(params)):

@@ -31,7 +31,11 @@ def check_w_l(w: float, l: int | None = None) -> int | None:
 
     Returns l read as a Python int, or None when l is not given.
     """
-    if not 0.0 < w < 1.0:
+    try:
+        in_range = 0.0 < w < 1.0
+    except TypeError:
+        raise ValueError(f"w must be a real number in (0, 1), got {w!r}") from None
+    if not in_range:
         raise ValueError(f"w must be in (0, 1), got {w}")
     if l is None:
         return None
@@ -104,7 +108,13 @@ class AngleSchedule:
             angles = getattr(self, name)
             if np.iscomplexobj(angles):
                 raise ValueError(f"alpha and beta must be finite real numbers, got complex {name}")
-            object.__setattr__(self, name, np.asarray(angles, dtype=float))
+            try:
+                object.__setattr__(self, name, np.asarray(angles, dtype=float))
+            except (TypeError, ValueError):
+                # a set has no order and a ragged list no shape: neither is a 1-D array of angles
+                raise ValueError(
+                    f"alpha and beta must be 1-D with equal shapes, got {name} = {angles!r}, not an array of real numbers"
+                ) from None
         # the search zips alpha with beta, so a short array would silently drop iterations
         shapes = self.alpha.shape, self.beta.shape
         if len(shapes[0]) != 1 or shapes[0] != shapes[1]:

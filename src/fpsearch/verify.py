@@ -327,16 +327,29 @@ def check_coefficient_compare(max_L: int) -> CheckResult:
 
 
 def check_tangent_sum(max_L: int, rng) -> CheckResult:
+    """Cyclic tangent sums over every k-subset of [L], or SUBSETS_PER_CASE of them.
+
+    A case (L, k) with at most SUBSETS_PER_CASE subsets tests them all.  Each
+    L with a larger case draws once: SUBSETS_PER_CASE uniform orderings of
+    [L] in one ``rng.permuted`` call, and every sampled case k tests their
+    k-prefixes, each a uniform k-subset.  So the subsets of one L are nested
+    across k, and one running product gives the shift products of every k.
+    """
     devs = []
     degrees = _degrees(3, combinat.MAX_TANGENT_L, max_L)
     for L in degrees:
+        sampled = [k for k in range(1, L + 1) if math.comb(L, k) > SUBSETS_PER_CASE]
+        prefixes = iter(())
+        if sampled:
+            orders = rng.permuted(np.tile(np.arange(L), (SUBSETS_PER_CASE, 1)), axis=1)
+            prefixes = combinat.tangent_prefix_terms(L, orders[:, : sampled[-1]])
         for k in range(1, L + 1):
-            if math.comb(L, k) <= SUBSETS_PER_CASE:
-                cases = combinat.combinations_array(L, k)
+            # the prefix products run k = 1, 2, ..; the enumerated cases skip theirs
+            prefix = next(prefixes, None)
+            if k in sampled:
+                terms = prefix
             else:
-                # one shuffle of SUBSETS_PER_CASE rows per case, not one rng call per subset
-                cases = rng.permuted(np.tile(np.arange(L), (SUBSETS_PER_CASE, 1)), axis=1)[:, :k]
-            terms = combinat.tangent_sum_terms(L, cases)
+                terms = combinat.tangent_sum_terms(L, combinat.combinations_array(L, k))
             expected = float(L) if k % 2 == 0 else 0.0
             max_term = np.max(np.abs(terms), axis=1)
             gap = np.abs(terms.sum(axis=1) - expected)
@@ -363,8 +376,8 @@ def check_vieta(max_L: int) -> CheckResult:
     devs = []
     degrees = _degrees(3, combinat.MAX_VIETA_L, max_L)
     for L in degrees:
-        for k in range(0, L + 1):
-            terms = combinat.vieta_terms(L, k)
+        # every k of one L from one pass over the 2^L subsets
+        for k, terms in enumerate(combinat.vieta_terms_by_size(L)):
             expected = math.comb(L, k) if k % 2 == 0 else 0.0
             scale = max(1.0, float(np.sum(np.abs(terms))))
             devs.append(abs(terms.sum() - expected) / scale)

@@ -23,6 +23,7 @@ from fpsearch.combinat import (
     rotation_orbit,
     star_line_bijection_holds,
     star_line_partition,
+    tangent_prefix_terms,
     tangent_sum,
     tangent_sum_terms,
     tiling_weight,
@@ -30,6 +31,7 @@ from fpsearch.combinat import (
     total_star_weight,
     vieta_sum,
     vieta_terms,
+    vieta_terms_by_size,
 )
 from fpsearch.complexpoly import chebyshev_T, tan_table
 
@@ -165,6 +167,14 @@ class TestTilingWeight:
     def test_rejects_unknown_variant(self):
         with pytest.raises(ValueError):
             WeightModel(variant="C", w=0.5, x=1.0)
+
+    @pytest.mark.parametrize("field", ["w", "x"])
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_rejects_non_finite_w_and_x(self, field, bad):
+        # a NaN w would weigh every tiling nan+nanj, with no error
+        values = {"w": 0.5, "x": 0.5, field: bad}
+        with pytest.raises(ValueError, match=f"{field} must be finite, got {bad}"):
+            WeightModel(variant="A", **values)
 
 
 class TestWeightTotals:
@@ -401,18 +411,66 @@ def _add_modulo_gather(L, rows, shifts):
 class TestShiftProducts:
     @pytest.mark.parametrize("L", range(3, MAX_TANGENT_L + 1, 2))
     def test_matches_add_modulo_gather(self, L):
-        # bit-identical: the same factors, multiplied in the same order
+        # bit-identical: the same factors, multiplied in the same order; one
+        # running product yields the products of every column prefix
         rng = np.random.default_rng(L)
+        orders = rng.permuted(np.tile(np.arange(L), (40, 1)), axis=1)
+        # kept in a list: a later prefix must not overwrite an earlier one
+        prefixes = list(_shift_products(L, orders))
+        assert len(prefixes) == L
         for k in range(L + 1):
-            rows = rng.permuted(np.tile(np.arange(L), (40, 1)), axis=1)[:, :k]
-            for shifts in (np.arange(L), np.zeros(1, dtype=np.int64)):
-                assert np.array_equal(_shift_products(L, rows, shifts), _add_modulo_gather(L, rows, shifts))
+            rows = orders[:, :k]
             if k:
-                assert np.array_equal(tangent_sum_terms(L, rows), _add_modulo_gather(L, rows, np.arange(L)))
+                reference = _add_modulo_gather(L, rows, np.arange(L))
+                assert np.array_equal(prefixes[k - 1], reference)
+                assert np.array_equal(tangent_sum_terms(L, rows), reference)
             if L <= MAX_VIETA_L:
                 every_subset = combinations_array(L, k).astype(np.int64)
                 reference = _add_modulo_gather(L, every_subset, np.zeros(1, dtype=np.int64))[:, 0]
                 assert np.array_equal(vieta_terms(L, k), reference)
+
+
+class TestTangentPrefixTerms:
+    @pytest.mark.parametrize("L", range(3, MAX_TANGENT_L + 1, 2))
+    def test_matches_tangent_sum_terms_of_each_prefix(self, L):
+        orders = np.random.default_rng(L).permuted(np.tile(np.arange(L), (30, 1)), axis=1)
+        count = 0
+        for k, terms in enumerate(tangent_prefix_terms(L, orders), 1):
+            assert terms.shape == (30, L)
+            assert np.array_equal(terms, tangent_sum_terms(L, orders[:, :k]))
+            count += 1
+        assert count == L
+
+    def test_rejects_bad_input_when_called(self):
+        # checked once, before the first product, not when the iterator is first read
+        for bad in ([[0, 1], [2, 2]], [[0, 5]], [[0.5, 1.0]], [0, 1], np.zeros((2, 2, 2), dtype=int)):
+            with pytest.raises(ValueError):
+                tangent_prefix_terms(5, bad)
+        with pytest.raises(ValueError):
+            tangent_prefix_terms(27, [[0, 1]])
+
+
+class TestVietaBySize:
+    @pytest.mark.parametrize("L", range(3, MAX_VIETA_L + 1, 2))
+    def test_matches_per_k_products_over_combinations(self, L):
+        # bit-identical to multiplying i tan(d pi / L) column by column over the
+        # itertools-ordered subsets, one k at a time
+        t = 1j * tan_table(L)
+        sizes = list(vieta_terms_by_size(L))
+        assert len(sizes) == L + 1
+        for k, terms in enumerate(sizes):
+            rows = combinations_array(L, k)
+            reference = np.ones(len(rows), dtype=complex)
+            for column in rows.T:
+                reference = reference * t[column]
+            assert terms.dtype == np.complex128
+            assert np.array_equal(terms, reference)
+            assert np.array_equal(vieta_terms(L, k), reference)
+
+    def test_rejects_bad_L_when_called(self):
+        for bad in (17, 4, 1, 5.0):
+            with pytest.raises(ValueError):
+                vieta_terms_by_size(bad)
 
 
 class TestRotationsAndReflection:

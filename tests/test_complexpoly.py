@@ -191,6 +191,12 @@ class TestRecursion:
         with pytest.raises(ValueError):
             quasi_cheb_recursive(QuasiChebParams(0.5, 5), 11.0)
 
+    @pytest.mark.parametrize("x", [math.nan, math.inf, complex(0.5, math.nan), [0.5, math.nan]])
+    def test_guard_on_non_finite_x(self, x):
+        # NaN > 10 is False, so a guard written as "any |x| > 10" would let NaN through
+        with pytest.raises(ValueError, match="guarded to finite"):
+            quasi_cheb_recursive(QuasiChebParams(0.5, 3), x)
+
     @settings(max_examples=60, deadline=None)
     @given(
         gamma=st.floats(min_value=0.05, max_value=1.0),

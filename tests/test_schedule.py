@@ -120,11 +120,17 @@ class TestMakeSchedule:
             assert sched.phi[L - n - 1] == pytest.approx(-sched.phi[n - 1], abs=1e-12)
 
     @pytest.mark.parametrize(
-        "w,l", [(0.0, 3), (1.0, 3), (-0.1, 3), (math.nan, 3), (0.5, 0), (0.5, -2), (0.1, 50_000), (0.5, True)]
+        "w,l",
+        [(0.0, 3), (1.0, 3), (-0.1, 3), (math.nan, 3), (0.5, 0), (0.5, -2), (0.1, 50_000), (0.5, True), ("0.5", 3)],
     )
     def test_invalid_inputs(self, w, l):
         with pytest.raises(ValueError):
             make_schedule(w, l)
+
+    def test_rejects_non_real_w_naming_it(self):
+        # a string w would otherwise fail the range comparison with a TypeError
+        with pytest.raises(ValueError, match=r"w must be a real number in \(0, 1\), got '0.5'"):
+            make_schedule("0.5", 3)
 
     @pytest.mark.parametrize("l", [2.5, 2.0])
     def test_rejects_non_integer_l(self, l):
@@ -169,8 +175,14 @@ class TestAngleSchedule:
 
     @pytest.mark.parametrize(
         "alpha,beta",
-        [(np.ones(3), np.ones(2)), (np.ones(2), np.ones(3)), (np.ones((2, 2)), np.ones((2, 2))), (1.0, 1.0)],
-        ids=["short-beta", "short-alpha", "2-D", "0-D"],
+        [
+            (np.ones(3), np.ones(2)),
+            (np.ones(2), np.ones(3)),
+            (np.ones((2, 2)), np.ones((2, 2))),
+            (1.0, 1.0),
+            ({1.0, 2.0}, [1.0, 2.0]),
+        ],
+        ids=["short-beta", "short-alpha", "2-D", "0-D", "set"],
     )
     def test_rejects_unequal_or_non_1d_angles(self, alpha, beta):
         # zip would run min(len(alpha), len(beta)) iterations

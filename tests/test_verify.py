@@ -3,66 +3,89 @@ references, and its one reduction rule (worst deviation, floored at 0.0, a NaN
 fails the check)."""
 
 import math
+from collections.abc import Iterator
 from itertools import combinations
 
 import numpy as np
 import pytest
 
 from fpsearch import cli, combinat, complexpoly, sim2d
-from fpsearch.combinat import tangent_sum_terms
+from fpsearch.combinat import tangent_prefix_terms, tangent_sum_terms
 from fpsearch.verify import SUBSETS_PER_CASE, _result, check_tangent_sum, run_verification
 
 
-def _sampled_cases(L, k, rng):
-    if math.comb(L, k) <= SUBSETS_PER_CASE:
-        return [list(c) for c in combinations(range(L), k)]
-    # the check's rng.permuted(..., axis=1) shuffles its rows in order, as one rng.shuffle per row does
-    cases = []
-    for _ in range(SUBSETS_PER_CASE):
-        row = np.arange(L)
-        rng.shuffle(row)
-        cases.append(row[:k])
+def _reference_cases(L, rng):
+    # {k: the subsets case (L, k) tests}: every k-subset when there are at most
+    # SUBSETS_PER_CASE of them, else the k-prefixes of SUBSETS_PER_CASE orderings
+    # of [L] drawn once per L, one rng.shuffle per row, as the check's
+    # rng.permuted(..., axis=1) shuffles its rows in order
+    orders = []
+    if any(math.comb(L, k) > SUBSETS_PER_CASE for k in range(1, L + 1)):
+        for _ in range(SUBSETS_PER_CASE):
+            row = np.arange(L)
+            rng.shuffle(row)
+            orders.append(row)
+    cases = {}
+    for k in range(1, L + 1):
+        if math.comb(L, k) <= SUBSETS_PER_CASE:
+            cases[k] = [list(c) for c in combinations(range(L), k)]
+        else:
+            cases[k] = [row[:k] for row in orders]
     return cases
 
 
-def test_tangent_sum_leaves_rng_as_one_draw_per_case():
-    # the rng checks after it see the state that one rng.permuted per sampled (L, k) case leaves
+def test_tangent_sum_leaves_rng_as_one_draw_per_sampled_l():
+    # the rng checks after it see the state that one draw of SUBSETS_PER_CASE
+    # row shuffles per L >= 11 leaves; an L <= 9 has no sampled case and draws nothing
     rng = np.random.default_rng(42)
     check_tangent_sum(25, rng)
     ref = np.random.default_rng(42)
     for L in range(3, 26, 2):
-        for k in range(1, L + 1):
-            if math.comb(L, k) > SUBSETS_PER_CASE:
-                ref.permuted(np.tile(np.arange(L), (SUBSETS_PER_CASE, 1)), axis=1)
+        _reference_cases(L, ref)
     assert rng.bit_generator.state == ref.bit_generator.state
+    quiet = np.random.default_rng(42)
+    check_tangent_sum(9, quiet)
+    assert quiet.bit_generator.state == np.random.default_rng(42).bit_generator.state
 
 
-def test_tangent_sum_matches_per_subset_reference(monkeypatch):
+def test_tangent_sum_matches_per_subset_prefix_reference(monkeypatch):
     dev = 0.0
-    reference = []
+    reference = {}
     ref_rng = np.random.default_rng(7)
     for L in range(3, 14, 2):
-        for k in range(1, L + 1):
+        reference[L] = _reference_cases(L, ref_rng)
+        for k, cases in reference[L].items():
             expected = float(L) if k % 2 == 0 else 0.0
-            cases = _sampled_cases(L, k, ref_rng)
-            reference.append((L, np.array(cases)))
             for subset in cases:
                 terms = tangent_sum_terms(L, subset)
                 max_term = float(np.max(np.abs(terms)))
                 gap = abs(terms.sum() - expected)
                 dev = max(dev, gap / max_term if max_term else gap)
     # the check must test the reference's subsets, sampled ones included, not only match its worst deviation
-    seen = []
+    enumerated, orders = [], {}
 
-    def recording(L, cases):
-        seen.append((L, cases))
+    def recording_terms(L, cases):
+        enumerated.append((L, cases))
         return tangent_sum_terms(L, cases)
 
-    monkeypatch.setattr(combinat, "tangent_sum_terms", recording)
+    def recording_prefixes(L, rows):
+        orders[L] = rows
+        return tangent_prefix_terms(L, rows)
+
+    monkeypatch.setattr(combinat, "tangent_sum_terms", recording_terms)
+    monkeypatch.setattr(combinat, "tangent_prefix_terms", recording_prefixes)
     result = check_tangent_sum(13, np.random.default_rng(7))
-    assert len(seen) == len(reference)
-    for (L, cases), (ref_L, ref_cases) in zip(seen, reference):
+    expected_enumerated = [
+        (L, cases) for L, by_k in reference.items() for k, cases in by_k.items() if math.comb(L, k) <= SUBSETS_PER_CASE
+    ]
+    assert len(enumerated) == len(expected_enumerated)
+    for (L, cases), (ref_L, ref_cases) in zip(enumerated, expected_enumerated):
         assert L == ref_L and np.array_equal(cases, ref_cases)
+    assert sorted(orders) == [11, 13]
+    for L, rows in orders.items():
+        for k, ref_cases in reference[L].items():
+            if math.comb(L, k) > SUBSETS_PER_CASE:
+                assert np.array_equal(rows[:, :k], ref_cases)
     assert result.max_deviation == dev
     assert result.passed
 
@@ -91,6 +114,8 @@ def test_result_takes_worst_deviation_floored_at_zero(devs, expected):
 
 
 def _nan_copy(value):
+    if isinstance(value, Iterator):
+        return map(_nan_copy, value)
     if isinstance(value, sim2d.TwoDimState):
         return sim2d.TwoDimState(r_amp=value.r_amp * np.nan, t_amp=value.t_amp * np.nan)
     return np.full_like(value, np.nan)
@@ -107,11 +132,14 @@ def _patch_nan(monkeypatch, module, name):
         (sim2d, "run_search", ("three_way_agreement", "run_search_unitarity", "subspace_reduction")),
         (complexpoly, "quasi_cheb_closed", ("quasi_cheb_closed_form", "quasi_cheb_boundedness")),
         (combinat, "tangent_sum_terms", ("tangent_sum_identity",)),
+        (combinat, "tangent_prefix_terms", ("tangent_sum_identity",)),
+        (combinat, "vieta_terms_by_size", ("vieta_identity",)),
     ],
 )
 def test_nan_input_fails_its_checks(monkeypatch, module, name, checks):
     _patch_nan(monkeypatch, module, name)
-    results = {r.check_name: r for r in run_verification(9)}
+    # max_L 11: the smallest that has sampled tangent-sum cases
+    results = {r.check_name: r for r in run_verification(11)}
     for check in checks:
         assert math.isnan(results[check].max_deviation), check
         assert not results[check].passed, check
