@@ -12,11 +12,12 @@ cut-open L-line) gives N_L(x) itself.  Two domino weightings matter:
 
 with t(n) = tan(n pi / L) and w = sqrt(1 - gamma^2).  Their total weights
 agree coefficientwise in w, which is what pins N_L(x) to gamma^L T_L(x/gamma).
-Every tiling weight, a value at one w or the exact coefficients in w, comes
-from one row product over the bit matrix of all tilings: the coefficients
-are the domino quadratics multiplied out, not fitted to sampled values.
-Everything here is verified by brute-force enumeration at desk scale, not by
-re-proving the identities.
+A tiling is a bool row, bit d marking a domino on <d, d-1>; a rotation or the
+reflection of a whole (tilings, L) bit matrix is one column gather, and every
+weight, a value at one w or the exact coefficients in w (the domino quadratics
+multiplied out, not fitted), is one row product over the matrix.  Everything
+here is verified by brute-force enumeration at desk scale, not by re-proving
+the identities.
 """
 
 from __future__ import annotations
@@ -77,69 +78,34 @@ def combinations_array(L: int, k: int) -> np.ndarray:
     return np.fromiter(flat, dtype=dtype, count=count * k).reshape(count, k)
 
 
-@dataclass(frozen=True)
-class Tiling:
-    """Cover of L cyclic positions by squares and dominos.
+def _read_bits(bits) -> tuple:
+    # one tiling (1-D) or a (tilings, L) matrix of them, and L; dominos overlap when
+    # bits d and d+1 (mod L) are both set.  numpy itself rejects a ragged list
+    arr = np.asarray(bits)
+    if arr.dtype != bool:
+        raise ValueError(f"tilings must be a bool array, got dtype {arr.dtype}")
+    if arr.ndim not in (1, 2):
+        raise ValueError(f"tilings must be 1-D or 2-D, got {arr.ndim} dimensions")
+    L = check_odd(arr.shape[-1], 3, None, "tilings must have an odd number L >= 3 of positions")
+    if (arr[..., :-1] & arr[..., 1:]).any() or (arr[..., -1] & arr[..., 0]).any():
+        raise ValueError("overlapping dominoes: some tiling sets bits d and d+1 (mod L)")
+    return arr, L
 
-    A domino at position n covers <n, n-1> (mod L); every position not under
-    a domino carries an implied square.  The set of domino start positions is
-    the canonical encoding, which makes set-equality checks O(1) per tiling.
+
+def enumerate_tilings(L: int, wrap: bool) -> np.ndarray:
+    """All tilings of the L-star (wrap=True) or the cut-open L-line (wrap=False).
+
+    Returns the (tilings, L) bool matrix, bit d of a row marking a domino on
+    <d, d-1>: exhaustive and duplicate-free, in increasing order of the mask
+    sum_d 2^d bit_d.  The line forbids bit 0, the domino covering <0, L-1>.
     """
-
-    L: int
-    dominoes: frozenset
-
-    def __post_init__(self):
-        L = check_odd(self.L, 3, None, "L must be an odd integer >= 3")
-        positions = [check_int(d, "domino positions must be integers") for d in self.dominoes]
-        dom = frozenset(d % L for d in positions)
-        object.__setattr__(self, "L", L)
-        object.__setattr__(self, "dominoes", dom)
-        for d in dom:
-            if (d + 1) % L in dom:
-                raise ValueError(f"overlapping dominoes at positions {d}, {(d + 1) % L}")
-
-    @property
-    def squares(self) -> tuple:
-        covered = set()
-        for d in self.dominoes:
-            covered.add(d)
-            covered.add((d - 1) % self.L)
-        return tuple(p for p in range(self.L) if p not in covered)
-
-    @property
-    def pieces(self) -> tuple:
-        """Ordered (kind, position) pairs; each position covered exactly once."""
-        out = [("domino", d) for d in self.dominoes]
-        out.extend(("square", p) for p in self.squares)
-        return tuple(sorted(out, key=lambda kp: kp[1]))
-
-    def wraps(self) -> bool:
-        """True when a domino covers <0, L-1>."""
-        return 0 in self.dominoes
-
-
-def _tiling_bits(L: int, wrap: bool) -> np.ndarray:
-    # (tilings, L) boolean matrix, one row per valid domino bitmask in
-    # increasing order: bit d marks a domino on <d, d-1>, two dominos overlap
-    # exactly when bits d and d+1 (mod L) are both set, and the line forbids bit 0
+    L = _check_L(L, MAX_ENUM_L, "enumeration")
     masks = np.arange(1 << L, dtype=np.int64)
     rotated = ((masks << 1) | (masks >> (L - 1))) & ((1 << L) - 1)
     valid = (masks & rotated) == 0
     if not wrap:
         valid &= (masks & 1) == 0
     return ((masks[valid, None] >> np.arange(L)) & 1).astype(bool)
-
-
-def enumerate_tilings(L: int, wrap: bool) -> list:
-    """All tilings of the L-star (wrap=True) or the cut-open L-line (wrap=False).
-
-    Exhaustive and duplicate-free, in increasing order of the domino bitmask.
-    The line variant forbids the domino covering <0, L-1>.
-    """
-    L = _check_L(L, MAX_ENUM_L, "enumeration")
-    bits = _tiling_bits(L, wrap)
-    return [Tiling(L=L, dominoes=frozenset(np.flatnonzero(row).tolist())) for row in bits]
 
 
 @dataclass(frozen=True)
@@ -189,19 +155,24 @@ def _row_weights(bits: np.ndarray, dom: np.ndarray, x: float, modified: bool) ->
     return out
 
 
-def tiling_weight(tiling: Tiling, model: WeightModel) -> complex:
-    """Product of the piece weights of ``tiling`` under ``model``."""
-    bits = np.array([[p in tiling.dominoes for p in range(tiling.L)]])
-    dom = _domino_table(tiling.L, model.variant, model.w)
-    return complex(_row_weights(bits, dom, model.x, model.modified)[0, 0])
+def tiling_weight(bits, model: WeightModel):
+    """Product of the piece weights of each tiling under ``model``.
+
+    ``bits`` is one tiling (a bool row), giving a complex, or a (tilings, L)
+    bit matrix, giving a (tilings,) array: every row is weighed in one pass.
+    """
+    bits, L = _read_bits(bits)
+    dom = _domino_table(L, model.variant, model.w)
+    weights = _row_weights(bits.reshape(-1, L), dom, model.x, model.modified)[:, 0]
+    return weights if bits.ndim == 2 else complex(weights[0])
 
 
 def _total_weight(L: int, gamma: float, x: float, wrap: bool) -> complex:
     # variant A; the cut-open line (wrap=False) takes the modified squares
     L = _check_L(L, MAX_WEIGHT_L, "the weight total")
     check_gamma(gamma)
-    dom = _domino_table(L, "A", math.sqrt(1.0 - gamma * gamma))
-    return complex(np.sum(_row_weights(_tiling_bits(L, wrap), dom, x, not wrap)[:, 0]))
+    model = WeightModel(variant="A", w=math.sqrt(1.0 - gamma * gamma), x=x, modified=not wrap)
+    return complex(np.sum(tiling_weight(enumerate_tilings(L, wrap), model)))
 
 
 def total_star_weight(L: int, gamma: float, x: float) -> complex:
@@ -245,7 +216,7 @@ def coefficient_compare(L: int, n_s: int) -> CoefficientReport:
     L = _check_L(L, MAX_COMPARE_L, "coefficient comparison")
     n_s = check_odd(n_s, 1, L, "n_s must be one of {L, L-2, ..., 1}")
     n_d = (L - n_s) // 2
-    bits = _tiling_bits(L, wrap=True)
+    bits = enumerate_tilings(L, wrap=True)
     bits = bits[bits.sum(axis=1) == n_d]
     degree = 2 * n_d
     coeffs_a, coeffs_b = (
@@ -347,6 +318,25 @@ def tangent_sum(L: int, subset) -> complex:
     return complex(tangent_sum_terms(L, subset).sum())
 
 
+def _vieta_table(L: int):
+    # products[mask] of every subset of [L], element d at bit L-1-d, and the
+    # subset sizes: element d fills the odd multiples of 2^(L-1-d) from the
+    # products of the elements before it, in place, so each product
+    # multiplies its tangents in increasing d
+    t = tan_table(L)
+    products, sizes = np.ones(1 << L), np.zeros(1 << L, dtype=np.uint8)
+    for d in range(L):
+        step = 1 << (L - d)
+        np.multiply(products[::step], t[d], out=products[step // 2 :: step])
+        np.add(sizes[::step], 1, out=sizes[step // 2 :: step])
+    return products, sizes
+
+
+def _vieta_size(products: np.ndarray, sizes: np.ndarray, k: int) -> np.ndarray:
+    # the size-k masks largest-first: the itertools order of the k-subsets
+    return products[sizes == k][::-1] * (1 + 0j, 1j, -1 + 0j, -1j)[k % 4]
+
+
 def vieta_terms_by_size(L: int):
     """``vieta_terms(L, k)`` for k = 0..L in turn, all from one pass over the 2^L subsets.
 
@@ -358,34 +348,20 @@ def vieta_terms_by_size(L: int):
     values as multiplying the factors i tan(d pi / L) one by one.
     """
     L = _check_L(L, MAX_VIETA_L, "the subset sum")
-    return _vieta_products(L)
-
-
-def _vieta_products(L: int):
-    # products[mask] of every subset of [L], element d at bit L-1-d: element d
-    # fills the odd multiples of 2^(L-1-d) from the products of the elements
-    # before it, in place, so each product multiplies its tangents in increasing d
-    t = tan_table(L)
-    products, sizes = np.ones(1 << L), np.zeros(1 << L, dtype=np.uint8)
-    for d in range(L):
-        step = 1 << (L - d)
-        np.multiply(products[::step], t[d], out=products[step // 2 :: step])
-        np.add(sizes[::step], 1, out=sizes[step // 2 :: step])
-    for k in range(L + 1):
-        # the size-k masks largest-first: the itertools order of the k-subsets
-        yield products[sizes == k][::-1] * (1 + 0j, 1j, -1 + 0j, -1j)[k % 4]
+    products, sizes = _vieta_table(L)
+    return (_vieta_size(products, sizes, k) for k in range(L + 1))
 
 
 def vieta_terms(L: int, k: int) -> np.ndarray:
     """Products prod i tan(d pi / L) over every k-subset of [L], in itertools order.
 
-    Taken from the one-pass table of ``vieta_terms_by_size``.
+    Taken from the one-pass table of ``vieta_terms_by_size``, for size k only.
     """
     L = _check_L(L, MAX_VIETA_L, "the subset sum")
     k = check_int(k, f"k must be in 0..{L}")
     if not 0 <= k <= L:
         raise ValueError(f"k must be in 0..{L}, got {k}")
-    return next(itertools.islice(_vieta_products(L), k, None))
+    return _vieta_size(*_vieta_table(L), k)
 
 
 def vieta_sum(L: int, k: int) -> complex:
@@ -393,39 +369,43 @@ def vieta_sum(L: int, k: int) -> complex:
     return complex(vieta_terms(L, k).sum())
 
 
-def rotation_orbit(tiling: Tiling, j: int) -> Tiling:
-    """Shift every piece of the tiling by j positions around the circle."""
-    return Tiling(L=tiling.L, dominoes=frozenset((d + j) % tiling.L for d in tiling.dominoes))
+def rotation_orbit(bits, j: int) -> np.ndarray:
+    """Shift every piece of each tiling by j positions around the circle: bit d moves to d + j."""
+    bits, L = _read_bits(bits)
+    j = check_int(j, "the shift j must be an integer")
+    return bits[..., (np.arange(L) - j) % L]
 
 
-def reflect(tiling: Tiling) -> Tiling:
-    """Mirror across the axis through position 0.
+def reflect(bits) -> np.ndarray:
+    """Mirror each tiling across the axis through position 0.
 
     Sends the square at n to L - n and the domino at n to L - n + 1; an
     involution that preserves variant-A weights.
     """
-    L = tiling.L
-    return Tiling(L=L, dominoes=frozenset((L - d + 1) % L for d in tiling.dominoes))
+    bits, L = _read_bits(bits)
+    return bits[..., (L + 1 - np.arange(L)) % L]
 
 
 def star_line_partition(L: int) -> dict:
     """Split the star tilings into square-at-0, line-domino and wrap-domino parts.
 
-    Returns the three disjoint sets {f(A), B, g(B)}: line tilings whose
+    Returns the three bit matrices {f(A), B, g(B)}: line tilings whose
     position 0 carries a square, line tilings with the domino on <1, 0>, and
     the reflections of the latter (exactly the wrap tilings).  Their union
     must reproduce the star tilings exactly once each.
     """
     line = enumerate_tilings(L, wrap=False)
-    set_a = {t for t in line if 1 not in t.dominoes}
-    set_b = {t for t in line if 1 in t.dominoes}
-    return {"square_at_zero": set_a, "line_domino": set_b, "wrap_domino": {reflect(t) for t in set_b}}
+    on_one = line[:, 1]
+    return {"square_at_zero": line[~on_one], "line_domino": line[on_one], "wrap_domino": reflect(line[on_one])}
 
 
 def star_line_bijection_holds(L: int) -> bool:
-    """Exact set equality f(A) | B | g(B) == all star tilings, no overlaps."""
-    parts = star_line_partition(L)
-    a, b, gb = parts["square_at_zero"], parts["line_domino"], parts["wrap_domino"]
-    if a & b or a & gb or b & gb:
-        return False
-    return a | b | gb == set(enumerate_tilings(L, wrap=True))
+    """Exact equality f(A) | B | g(B) == all star tilings, each exactly once.
+
+    The star masks are distinct and sorted, so one comparison with the sorted
+    masks of the three parts covers both disjointness and cover.
+    """
+    star = enumerate_tilings(L, wrap=True)
+    place = 1 << np.arange(L)
+    union = np.concatenate(list(star_line_partition(L).values()))
+    return np.array_equal(np.sort(union @ place), star @ place)

@@ -106,15 +106,17 @@ class AngleSchedule:
         # Complex angles are rejected, not cast: the cast would drop their imaginary parts
         for name in ("alpha", "beta"):
             angles = getattr(self, name)
-            if np.iscomplexobj(angles):
-                raise ValueError(f"alpha and beta must be finite real numbers, got complex {name}")
             try:
-                object.__setattr__(self, name, np.asarray(angles, dtype=float))
+                is_complex = np.iscomplexobj(angles)
+                if not is_complex:
+                    object.__setattr__(self, name, np.asarray(angles, dtype=float))
             except (TypeError, ValueError):
                 # a set has no order and a ragged list no shape: neither is a 1-D array of angles
                 raise ValueError(
                     f"alpha and beta must be 1-D with equal shapes, got {name} = {angles!r}, not an array of real numbers"
                 ) from None
+            if is_complex:
+                raise ValueError(f"alpha and beta must be finite real numbers, got complex {name}")
         # the search zips alpha with beta, so a short array would silently drop iterations
         shapes = self.alpha.shape, self.beta.shape
         if len(shapes[0]) != 1 or shapes[0] != shapes[1]:

@@ -268,16 +268,27 @@ def check_permutation_invariance(rng) -> CheckResult:
     return _result("permutation_invariance", None, {"n": n}, devs, 1e-12)
 
 
+def _masks(bits: np.ndarray) -> np.ndarray:
+    # the integer domino bitmask of each bit row, bit d weighing 2^d
+    return bits @ (1 << np.arange(bits.shape[-1]))
+
+
 def check_weight_totals(max_L: int) -> CheckResult:
     devs = []
     degrees = _degrees(3, combinat.MAX_WEIGHT_L, max_L)
     for L in degrees:
+        # the star tilings total 2 N_L(x), the line tilings with modified squares N_L(x)
+        parts = [(combinat.enumerate_tilings(L, wrap), 2.0 if wrap else 1.0, not wrap) for wrap in (True, False)]
         for gamma in (0.3, 0.7, 1.0):
+            w = math.sqrt(1.0 - gamma * gamma)
+            coeffs = complexpoly.n_poly_coeffs(complexpoly.QuasiChebParams(gamma=gamma, L=L))
             for x in (0.2, 0.5, 1.0):
-                ref = combinat.n_poly_value(L, gamma, x)
+                ref = complex(npoly.polyval(x, coeffs))
                 scale = 1.0 + abs(ref)
-                devs.append(abs(combinat.total_star_weight(L, gamma, x) - 2.0 * ref) / scale)
-                devs.append(abs(combinat.total_line_weight(L, gamma, x) - ref) / scale)
+                for bits, share, modified in parts:
+                    model = combinat.WeightModel(variant="A", w=w, x=x, modified=modified)
+                    total = complex(np.sum(combinat.tiling_weight(bits, model)))
+                    devs.append(abs(total - share * ref) / scale)
     return _result("tiling_weight_totals", degrees[-1], {}, devs, 1e-9)
 
 
@@ -292,11 +303,15 @@ def check_reflection(max_L: int) -> CheckResult:
     degrees = _degrees(3, 9, max_L)
     for L in degrees:
         model = combinat.WeightModel(variant="A", w=0.6, x=0.8)
-        for tiling in combinat.enumerate_tilings(L, wrap=True):
-            mirrored = combinat.reflect(tiling)
-            if combinat.reflect(mirrored) != tiling:
-                devs.append(1.0)
-            devs.append(abs(combinat.tiling_weight(tiling, model) - combinat.tiling_weight(mirrored, model)))
+        star = combinat.enumerate_tilings(L, wrap=True)
+        mirrored = combinat.reflect(star)
+        masks, image = _masks(star), _masks(mirrored)
+        # the star masks are sorted and distinct: the mirror permutes the tilings when the image
+        # masks sort to them, and is an involution when tiling i, sent to order[i], comes back
+        order = np.searchsorted(masks, image)
+        if not np.array_equal(np.sort(image), masks) or np.any(order[order] != np.arange(len(order))):
+            devs.append(1.0)
+        devs.append(np.abs(combinat.tiling_weight(star, model) - combinat.tiling_weight(mirrored, model)))
     return _result("reflection_involution", degrees[-1], {}, devs, 1e-10)
 
 
@@ -304,15 +319,16 @@ def check_orbit_partition(max_L: int) -> CheckResult:
     devs = []
     degrees = _degrees(3, 9, max_L)
     for L in degrees:
-        tilings = set(combinat.enumerate_tilings(L, wrap=True))
-        seen = set()
-        for tiling in sorted(tilings, key=lambda t: sorted(t.dominoes)):
-            if tiling in seen:
-                continue
-            orbit = {combinat.rotation_orbit(tiling, j) for j in range(L)}
-            devs.append(1.0 if orbit & seen else 0.0)
-            seen |= orbit
-        devs.append(1.0 if seen != tilings else 0.0)
+        star = combinat.enumerate_tilings(L, wrap=True)
+        # rolled[j, i] is the mask of tiling i rotated by j positions
+        rolled = np.stack([_masks(combinat.rotation_orbit(star, j)) for j in range(L)])
+        closed = np.isin(rolled, _masks(star)).all()
+        # the orbits partition the tilings when each tiling's distinct rolls are
+        # as many as the tilings that share its least roll, the orbit's representative
+        ordered = np.sort(rolled, axis=0)
+        distinct = 1 + np.count_nonzero(ordered[1:] != ordered[:-1], axis=0)
+        _, inverse, counts = np.unique(ordered[0], return_inverse=True, return_counts=True)
+        devs.append(0.0 if closed and np.array_equal(distinct, counts[inverse]) else 1.0)
     return _result("orbit_partition", degrees[-1], {}, devs, 0.5)
 
 

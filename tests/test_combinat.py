@@ -8,11 +8,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from fpsearch import combinat
 from fpsearch.combinat import (
     COEFF_TOL,
     MAX_TANGENT_L,
     MAX_VIETA_L,
-    Tiling,
     WeightModel,
     _shift_products,
     combinations_array,
@@ -38,59 +38,94 @@ from fpsearch.complexpoly import chebyshev_T, tan_table
 LUCAS = {3: 4, 5: 11, 7: 29, 9: 76, 11: 199, 13: 521, 15: 1364}
 
 
+def _row(L, dominoes=()):
+    # one tiling as a bool row: bit d marks the domino on <d, d-1>
+    row = np.zeros(L, dtype=bool)
+    row[list(dominoes)] = True
+    return row
+
+
+def _masks(bits):
+    return bits @ (1 << np.arange(bits.shape[-1]))
+
+
+def _squares(row):
+    # the positions no domino covers: a domino at d covers d and d-1
+    L = len(row)
+    return [p for p in range(L) if not row[p] and not row[(p + 1) % L]]
+
+
 class TestTiling:
     def test_rejects_overlapping_dominoes(self):
-        with pytest.raises(ValueError):
-            Tiling(L=5, dominoes=frozenset({1, 2}))
-        with pytest.raises(ValueError):
-            Tiling(L=5, dominoes=frozenset({0, 4}))
-        # positions and L must be integers; they are never truncated
-        for L, dominoes in ((5, {2.9}), (5, {1.5}), (5, {2.0}), (5.5, set()), (5.0, set())):
+        # every public map reads its bit rows through one check
+        bad = (
+            _row(5, {1, 2}),  # both dominoes cover position 1
+            _row(5, {0, 4}),  # the wrapping domino <0, 4> meets the one on <4, 3>
+            np.stack([_row(5), _row(5, {2, 3})]),  # one bad row in a matrix
+            np.array([0, 1, 0, 0, 0]),  # 0/1 integers are not bits
+            np.zeros(5),
+            np.zeros(4, dtype=bool),  # L must be odd and at least 3
+            np.zeros(1, dtype=bool),
+            np.zeros((), dtype=bool),  # one row or a matrix of rows, nothing else
+            np.zeros((2, 2, 5), dtype=bool),
+            [[True, False, False], [False]],
+        )
+        model = WeightModel(variant="A", w=0.5, x=1.0)
+        for bits in bad:
             with pytest.raises(ValueError):
-                Tiling(L=L, dominoes=frozenset(dominoes))
-        assert Tiling(L=np.int64(5), dominoes=frozenset({np.int64(7)})) == Tiling(L=5, dominoes=frozenset({2}))
+                tiling_weight(bits, model)
+            with pytest.raises(ValueError):
+                rotation_orbit(bits, 1)
+        # the shift is an integer; it is never truncated
+        for j in (1.0, 1.5, True):
+            with pytest.raises(ValueError):
+                rotation_orbit(_row(5, {2}), j)
+        assert np.array_equal(rotation_orbit([False, True, False, False, False], np.int64(6)), _row(5, {2}))
 
     def test_pieces_cover_every_position_once(self):
-        for tiling in enumerate_tilings(7, wrap=True):
-            covered = []
-            for kind, pos in tiling.pieces:
-                covered.append(pos)
-                if kind == "domino":
-                    covered.append((pos - 1) % 7)
-            assert sorted(covered) == list(range(7))
+        for L in (3, 7, 9):
+            for row in enumerate_tilings(L, wrap=True):
+                dominoes = np.flatnonzero(row)
+                covered = [*dominoes, *((dominoes - 1) % L), *_squares(row)]
+                assert sorted(covered) == list(range(L))
 
     def test_wrap_flag(self):
-        assert Tiling(L=5, dominoes=frozenset({0})).wraps()
-        assert not Tiling(L=5, dominoes=frozenset({2})).wraps()
+        # the wrap domino <0, L-1> is bit 0: the star rows that set it are the ones the line lacks
+        for L in (3, 5, 9):
+            star, line = enumerate_tilings(L, wrap=True), enumerate_tilings(L, wrap=False)
+            assert not line[:, 0].any()
+            assert np.array_equal(star[~star[:, 0]], line)
 
 
 class TestEnumeration:
     def test_line_count_smallest(self):
-        assert len(enumerate_tilings(3, wrap=False)) == 3
+        line = enumerate_tilings(3, wrap=False)
+        assert line.dtype == bool and line.shape == (3, 3)
 
     def test_star_count_smallest(self):
-        assert len(enumerate_tilings(3, wrap=True)) == 4
+        assert enumerate_tilings(3, wrap=True).shape == (4, 3)
 
     def test_counts_match_reference(self):
+        # distinct tilings, in increasing mask order
         for L, count in LUCAS.items():
-            star = enumerate_tilings(L, wrap=True)
-            assert len(star) == count
-            assert len(set(star)) == count
+            masks = _masks(enumerate_tilings(L, wrap=True))
+            assert len(masks) == count
+            assert np.all(np.diff(masks) > 0)
 
     def test_line_domino_census(self):
         # exactly C(L - k, k) line tilings carry k dominos
         for L in (3, 5, 9, 15):
-            tilings = enumerate_tilings(L, wrap=False)
+            dominoes = enumerate_tilings(L, wrap=False).sum(axis=1)
             for k in range(L // 2 + 1):
-                assert sum(1 for t in tilings if len(t.dominoes) == k) == math.comb(L - k, k)
+                assert np.count_nonzero(dominoes == k) == math.comb(L - k, k)
 
     def test_two_domino_star_instance_present(self):
         # the 5-star tiling with dominos on <2,1> and <0,4> and a square on <3>
         tilings = enumerate_tilings(5, wrap=True)
-        target = Tiling(L=5, dominoes=frozenset({0, 2}))
-        assert target in tilings
-        assert target.squares == (3,)
-        assert sum(1 for t in tilings if len(t.dominoes) == 2) == 5
+        target = _row(5, {0, 2})
+        assert any(np.array_equal(row, target) for row in tilings)
+        assert _squares(target) == [3]
+        assert np.count_nonzero(tilings.sum(axis=1) == 2) == 5
 
     def test_capability_bounds(self):
         for L in (1, 2, 4, 17, 9.0):
@@ -108,15 +143,14 @@ class TestEnumeration:
                         continue
                     if mask & (((mask << 1) | (mask >> (L - 1))) & full):
                         continue
-                    expected.append(Tiling(L=L, dominoes=frozenset(i for i in range(L) if mask >> i & 1)))
-                assert enumerate_tilings(L, wrap=wrap) == expected
+                    expected.append([bool(mask >> i & 1) for i in range(L)])
+                assert np.array_equal(enumerate_tilings(L, wrap=wrap), np.array(expected))
 
 
 class TestTilingWeight:
     def test_all_squares(self):
-        tiling = Tiling(L=5, dominoes=frozenset())
         model = WeightModel(variant="A", w=0.6, x=0.7)
-        assert tiling_weight(tiling, model) == pytest.approx((2.0 * 0.7) ** 5)
+        assert tiling_weight(_row(5), model) == pytest.approx((2.0 * 0.7) ** 5)
 
     def test_two_domino_instance(self):
         # 2x (1 - i t_2)(1 + i t_1)(1 - i t_0)(1 + i t_4), t_n = w tan(n pi / 5)
@@ -125,22 +159,19 @@ class TestTilingWeight:
         expected = (
             2.0 * x * (1.0 - 1j * t[2]) * (1.0 + 1j * t[1]) * (1.0 - 1j * t[0]) * (1.0 + 1j * t[4])
         )
-        tiling = Tiling(L=5, dominoes=frozenset({0, 2}))
-        got = tiling_weight(tiling, WeightModel(variant="A", w=w, x=x))
+        got = tiling_weight(_row(5, {0, 2}), WeightModel(variant="A", w=w, x=x))
         assert abs(got - expected) <= 1e-14
 
     def test_single_domino_variant_b(self):
         for L in (5, 9):
-            tiling = Tiling(L=L, dominoes=frozenset({3}))
             w, x = 0.4, 1.1
-            got = tiling_weight(tiling, WeightModel(variant="B", w=w, x=x))
+            got = tiling_weight(_row(L, {3}), WeightModel(variant="B", w=w, x=x))
             assert got == pytest.approx((2.0 * x) ** (L - 2) * -(1.0 - w * w))
 
     def test_modified_square_weight(self):
-        tiling = Tiling(L=3, dominoes=frozenset())
         model = WeightModel(variant="A", w=0.0, x=0.5, modified=True)
         # position 0 contributes x, the others 2x
-        assert tiling_weight(tiling, model) == pytest.approx(0.5 * 1.0 * 1.0)
+        assert tiling_weight(_row(3), model) == pytest.approx(0.5 * 1.0 * 1.0)
 
     def test_matches_per_piece_product(self):
         # reference: the product of the piece weights taken one piece at a time
@@ -148,21 +179,37 @@ class TestTilingWeight:
         t = [math.tan(n * math.pi / L) for n in range(L)]
         tilings = enumerate_tilings(L, wrap=True)
         # position 0 is covered by the domino at 1 (<1, 0>) or by the wrap domino at 0 (<0, 6>)
-        assert any(1 in tiling.dominoes for tiling in tilings)
-        assert any(0 in tiling.dominoes for tiling in tilings)
+        assert tilings[:, 1].any() and tilings[:, 0].any()
         for variant in ("A", "B"):
             for modified in (False, True):
                 model = WeightModel(variant=variant, w=w, x=x, modified=modified)
-                for tiling in tilings:
+                for row in tilings:
                     ref = complex(1.0)
-                    for p in tiling.squares:
+                    for p in _squares(row):
                         ref *= x if (modified and p == 0) else 2.0 * x
-                    for d in tiling.dominoes:
+                    for d in np.flatnonzero(row):
                         if variant == "A":
                             ref *= -(1.0 - 1j * w * t[d]) * (1.0 + 1j * w * t[(d - 1) % L])
                         else:
                             ref *= -(1.0 - w) * (1.0 + w)
-                    assert abs(tiling_weight(tiling, model) - ref) <= 1e-14 * abs(ref)
+                    assert abs(tiling_weight(row, model) - ref) <= 1e-14 * abs(ref)
+
+    def test_batch_matches_single_rows(self):
+        # bit for bit: a matrix is weighed in one pass, each row as it would be alone
+        models = (
+            WeightModel(variant="A", w=0.6, x=-0.7),
+            WeightModel(variant="A", w=0.3, x=0.5, modified=True),
+            WeightModel(variant="B", w=0.45, x=1.1),
+        )
+        for L in range(3, 16, 2):
+            for wrap in (True, False):
+                bits = enumerate_tilings(L, wrap=wrap)
+                for model in models:
+                    batch = tiling_weight(bits, model)
+                    single = [tiling_weight(row, model) for row in bits]
+                    assert batch.shape == (len(bits),) and batch.dtype == np.complex128
+                    assert all(type(value) is complex for value in single)
+                    assert np.array_equal(batch, single)
 
     def test_rejects_unknown_variant(self):
         with pytest.raises(ValueError):
@@ -259,7 +306,7 @@ class TestCoefficientCompare:
         for L in range(3, 12, 2):
             for n_s in range(1, L + 1, 2):
                 n_d = (L - n_s) // 2
-                count = sum(1 for t in enumerate_tilings(L, wrap=True) if len(t.dominoes) == n_d)
+                count = np.count_nonzero(enumerate_tilings(L, wrap=True).sum(axis=1) == n_d)
                 report = coefficient_compare(L, n_s)
                 expected_b = np.zeros(2 * n_d + 1)
                 for j in range(n_d + 1):
@@ -472,53 +519,70 @@ class TestVietaBySize:
             with pytest.raises(ValueError):
                 vieta_terms_by_size(bad)
 
+    def test_single_size_selects_only_k(self, monkeypatch):
+        # one table per call, from which vieta_terms takes size k alone, not every size below it
+        real, calls = combinat._vieta_size, []
+        monkeypatch.setattr(combinat, "_vieta_size", lambda *args: calls.append(args[2]) or real(*args))
+        vieta_terms(15, 14)
+        assert calls == [14]
+
 
 class TestRotationsAndReflection:
     def test_zero_shift_identity(self):
-        tiling = Tiling(L=5, dominoes=frozenset({0, 2}))
-        assert rotation_orbit(tiling, 0) == tiling
+        tiling = _row(5, {0, 2})
+        assert np.array_equal(rotation_orbit(tiling, 0), tiling)
+        star = enumerate_tilings(5, wrap=True)
+        assert np.array_equal(rotation_orbit(star, 0), star)
 
     def test_reference_shift(self):
-        shifted = rotation_orbit(Tiling(L=5, dominoes=frozenset({0, 2})), 1)
-        assert shifted.dominoes == frozenset({1, 3})
+        shifted = rotation_orbit(_row(5, {0, 2}), 1)
+        assert np.flatnonzero(shifted).tolist() == [1, 3]
 
     def test_group_action(self):
-        tiling = Tiling(L=7, dominoes=frozenset({1, 4}))
+        tiling = _row(7, {1, 4})
+        star = enumerate_tilings(7, wrap=True)
         for j in range(7):
-            assert rotation_orbit(rotation_orbit(tiling, j), 7 - j) == tiling
+            assert np.array_equal(rotation_orbit(rotation_orbit(tiling, j), 7 - j), tiling)
+            for k in range(7):
+                assert np.array_equal(rotation_orbit(rotation_orbit(star, j), k), rotation_orbit(star, j + k))
 
     def test_orbit_partition(self):
+        # reference: collect each orbit as a set of masks, one tiling at a time
         for L in (3, 5, 7, 9):
-            tilings = set(enumerate_tilings(L, wrap=True))
+            star = enumerate_tilings(L, wrap=True)
             seen = set()
-            for tiling in tilings:
-                if tiling in seen:
+            for row in star:
+                if int(_masks(row)) in seen:
                     continue
-                orbit = {rotation_orbit(tiling, j) for j in range(L)}
+                orbit = {int(_masks(rotation_orbit(row, j))) for j in range(L)}
                 assert not orbit & seen
                 seen |= orbit
-            assert seen == tilings
+            assert seen == set(_masks(star).tolist())
 
     def test_reflection_involution(self):
+        # the domino at d goes to L - d + 1 (mod L): here 1 -> 0 and 4 -> 4
+        assert np.array_equal(reflect(_row(7, {1, 4})), _row(7, {0, 4}))
         for L in (3, 5, 7, 9):
-            for tiling in enumerate_tilings(L, wrap=True):
-                assert reflect(reflect(tiling)) == tiling
+            star = enumerate_tilings(L, wrap=True)
+            assert np.array_equal(reflect(reflect(star)), star)
+            assert np.array_equal(np.sort(_masks(reflect(star))), _masks(star))
 
     def test_reflection_preserves_variant_a_weight(self):
         model = WeightModel(variant="A", w=0.45, x=0.9)
         for L in (5, 7, 9):
-            for tiling in enumerate_tilings(L, wrap=True):
-                mirrored = reflect(tiling)
-                assert abs(tiling_weight(tiling, model) - tiling_weight(mirrored, model)) <= 1e-10
+            star = enumerate_tilings(L, wrap=True)
+            assert np.all(np.abs(tiling_weight(star, model) - tiling_weight(reflect(star), model)) <= 1e-10)
 
 
 class TestStarLineBijection:
     def test_partition_shapes(self):
         parts = star_line_partition(5)
-        line = set(enumerate_tilings(5, wrap=False))
-        assert parts["square_at_zero"] | parts["line_domino"] == line
+        line = enumerate_tilings(5, wrap=False)
+        split = np.concatenate([parts["square_at_zero"], parts["line_domino"]])
+        assert np.array_equal(np.sort(_masks(split)), _masks(line))
         # the reflected part is exactly the wrap tilings
-        assert all(t.wraps() for t in parts["wrap_domino"])
+        star = enumerate_tilings(5, wrap=True)
+        assert np.array_equal(np.sort(_masks(parts["wrap_domino"])), _masks(star[star[:, 0]]))
 
     def test_set_equality(self):
         for L in (3, 5, 7, 9, 11):

@@ -181,13 +181,21 @@ class TestAngleSchedule:
             (np.ones((2, 2)), np.ones((2, 2))),
             (1.0, 1.0),
             ({1.0, 2.0}, [1.0, 2.0]),
+            ([[1.0], [1.0, 2.0]], [1.0, 2.0]),
+            ([1.0, 2.0], [[1.0], [1.0, 2.0]]),
         ],
-        ids=["short-beta", "short-alpha", "2-D", "0-D", "set"],
+        ids=["short-beta", "short-alpha", "2-D", "0-D", "set", "ragged-alpha", "ragged-beta"],
     )
     def test_rejects_unequal_or_non_1d_angles(self, alpha, beta):
         # zip would run min(len(alpha), len(beta)) iterations
         with pytest.raises(ValueError, match="alpha and beta must be 1-D with equal shapes"):
             AngleSchedule(w=0.2, alpha=alpha, beta=beta)
+
+    @pytest.mark.parametrize("field", ["alpha", "beta"])
+    def test_ragged_angles_name_the_field(self, field):
+        angles = {"alpha": [1.0, 2.0], "beta": [1.0, 2.0], field: [[1.0], [1.0, 2.0]]}
+        with pytest.raises(ValueError, match=f"got {field} = "):
+            AngleSchedule(w=0.5, **angles)
 
     def test_reads_lists_as_float_arrays(self):
         # run_search multiplies the angles by complex numbers, which a list does not support

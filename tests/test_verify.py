@@ -1,6 +1,6 @@
 """Tests of the verify suite: its batched tangent-sum check against per-subset
-references, and its one reduction rule (worst deviation, floored at 0.0, a NaN
-fails the check)."""
+references, its batched tiling checks against broken maps, and its one
+reduction rule (worst deviation, floored at 0.0, a NaN fails the check)."""
 
 import math
 from collections.abc import Iterator
@@ -11,7 +11,15 @@ import pytest
 
 from fpsearch import cli, combinat, complexpoly, sim2d
 from fpsearch.combinat import tangent_prefix_terms, tangent_sum_terms
-from fpsearch.verify import SUBSETS_PER_CASE, _result, check_tangent_sum, run_verification
+from fpsearch.verify import (
+    SUBSETS_PER_CASE,
+    _result,
+    check_bijection,
+    check_orbit_partition,
+    check_reflection,
+    check_tangent_sum,
+    run_verification,
+)
 
 
 def _reference_cases(L, rng):
@@ -143,6 +151,37 @@ def test_nan_input_fails_its_checks(monkeypatch, module, name, checks):
     for check in checks:
         assert math.isnan(results[check].max_deviation), check
         assert not results[check].passed, check
+
+
+def _shift_by_one(real):
+    # a rotation by one position: it maps the star tilings onto themselves, but is no involution
+    return lambda bits: np.roll(real(bits), 1, axis=-1)
+
+
+def _invalid_row(real):
+    # the rotation by one yields all-domino rows, which overlap
+    return lambda bits, j: np.ones_like(bits) if j == 1 else real(bits, j)
+
+
+def _dropped_part(real):
+    return lambda L: {name: part for name, part in real(L).items() if name != "wrap_domino"}
+
+
+@pytest.mark.parametrize(
+    "name, broken, check",
+    [
+        ("reflect", _shift_by_one, check_reflection),
+        ("rotation_orbit", _invalid_row, check_orbit_partition),
+        ("star_line_partition", _dropped_part, check_bijection),
+    ],
+)
+def test_broken_tiling_map_fails_its_check(monkeypatch, name, broken, check):
+    # each batched tiling check passes on the real map and fails once the map is broken
+    assert check(9).passed
+    monkeypatch.setattr(combinat, name, broken(getattr(combinat, name)))
+    result = check(9)
+    assert not result.passed
+    assert result.max_deviation >= 1.0
 
 
 def test_verify_cli_exits_1_on_nan(monkeypatch, capsys, tmp_path):
