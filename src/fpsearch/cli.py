@@ -161,7 +161,7 @@ def _parse_marked(args, dim: int):
 
 
 def cmd_statevector(args) -> int:
-    # 1 << qubits below must not run on a size init_uniform would reject
+    # 1 << qubits below must not run on a size run_full_search would reject
     check_qubits(args.qubits)
     marked = MarkedSet(indices=_parse_marked(args, 1 << args.qubits), n_qubits=args.qubits)
     sched = _schedule_from_args(args)

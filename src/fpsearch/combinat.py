@@ -30,7 +30,7 @@ from dataclasses import dataclass
 import numpy as np
 from numpy.polynomial import polynomial as npoly
 
-from .complexpoly import QuasiChebParams, check_gamma, check_int, check_odd, n_poly_coeffs, tan_table
+from .complexpoly import QuasiChebParams, check_gamma, check_int, check_odd, check_real, n_poly_coeffs, tan_table
 
 MAX_ENUM_L = 15
 MAX_WEIGHT_L = 13
@@ -126,7 +126,8 @@ class WeightModel:
         _check_variant(self.variant)
         for name in ("w", "x"):
             value = getattr(self, name)
-            if not math.isfinite(value):
+            real = check_real(value, f"{name} must be a finite real number")
+            if real.ndim or not math.isfinite(real):
                 raise ValueError(f"{name} must be finite, got {value}")
 
 

@@ -11,8 +11,9 @@ tangents tan(n pi / L): the twists and twist angles here, the schedule angles
 and the tiling weights are all taken from it.
 
 Complex scalars are Python ``complex``; coefficient vectors are numpy arrays
-of ``complex128`` indexed by degree.  ``check_int`` reads every count, and
-``check_odd`` every odd count in a range, such as a degree L.
+of ``complex128`` indexed by degree.  ``check_int`` reads every count,
+``check_odd`` every odd count in a range, such as a degree L, and
+``check_real`` every real input, x and lambda, w, delta and gamma.
 """
 
 from __future__ import annotations
@@ -42,6 +43,14 @@ def check_int(value, what: str) -> int:
         raise ValueError(f"{what}, got {value!r}") from None
 
 
+def check_real(value, what: str) -> np.ndarray:
+    """Read a real scalar or array as float64; complex input raises, where a cast would drop its imaginary part."""
+    arr = np.asarray(value)
+    if arr.dtype.kind not in "biuf":
+        raise ValueError(f"{what}, got {value!r}")
+    return arr.astype(float, copy=False)
+
+
 def check_odd(value, lo: int, hi: int | None, what: str) -> int:
     """Read an odd count in lo..hi (no upper bound when hi is None) as a Python int."""
     n = check_int(value, what)
@@ -52,7 +61,8 @@ def check_odd(value, lo: int, hi: int | None, what: str) -> int:
 
 def check_gamma(gamma: float) -> None:
     """Reject gamma = sqrt(1 - w^2) outside (0, 1]."""
-    if not 0.0 < gamma <= 1.0:
+    real = check_real(gamma, "gamma must be a real number in (0, 1]")
+    if real.ndim or not 0.0 < float(real) <= 1.0:
         raise ValueError(f"gamma must be in (0, 1], got {gamma}")
 
 
@@ -99,7 +109,7 @@ def chebyshev_T(L: int, x):
         raise ValueError(f"degree must be >= 0, got {L}")
     if L > EVAL_MAX_DEGREE:
         raise ValueError(f"degree capped at {EVAL_MAX_DEGREE}, got {L}")
-    arr = np.asarray(x, dtype=float)
+    arr = check_real(x, "x must be real")
     out = np.empty_like(arr)
     inside = np.abs(arr) <= 1.0
     out[inside] = np.cos(L * np.arccos(arr[inside]))
@@ -136,7 +146,7 @@ def quasi_cheb_closed(params: QuasiChebParams, x):
     Bounded by 1 / T_L(1/gamma) whenever |x| <= gamma.
     """
     g = params.gamma
-    return chebyshev_T(params.L, np.asarray(x, dtype=float) / g) / chebyshev_T(
+    return chebyshev_T(params.L, check_real(x, "x must be real") / g) / chebyshev_T(
         params.L, 1.0 / g
     )
 

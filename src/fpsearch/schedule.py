@@ -20,10 +20,18 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .complexpoly import EVAL_MAX_DEGREE, check_int, tan_table
+from .complexpoly import EVAL_MAX_DEGREE, check_int, check_real, tan_table
 
 # the largest l whose degree L = 2l + 1 chebyshev_T still evaluates
 MAX_ITERATIONS = (EVAL_MAX_DEGREE - 1) // 2
+
+
+def _check_unit(value: float, name: str) -> None:
+    # w and delta lie in (0, 1); a string or a complex number raises before the comparison,
+    # which runs on a Python float: on a 0-d array it costs several times more
+    real = check_real(value, f"{name} must be a real number in (0, 1)")
+    if real.ndim or not 0.0 < float(real) < 1.0:
+        raise ValueError(f"{name} must be in (0, 1), got {value}")
 
 
 def check_w_l(w: float, l: int | None = None) -> int | None:
@@ -31,12 +39,7 @@ def check_w_l(w: float, l: int | None = None) -> int | None:
 
     Returns l read as a Python int, or None when l is not given.
     """
-    try:
-        in_range = 0.0 < w < 1.0
-    except TypeError:
-        raise ValueError(f"w must be a real number in (0, 1), got {w!r}") from None
-    if not in_range:
-        raise ValueError(f"w must be in (0, 1), got {w}")
+    _check_unit(w, "w")
     if l is None:
         return None
     l = check_int(l, "l must be an integer")
@@ -54,8 +57,7 @@ class SearchParams:
 
     def __post_init__(self):
         check_w_l(self.w)
-        if not 0.0 < self.delta < 1.0:
-            raise ValueError(f"delta must be in (0, 1), got {self.delta}")
+        _check_unit(self.delta, "delta")
 
 
 def _iteration_bound(params: SearchParams) -> float:
@@ -102,6 +104,9 @@ class AngleSchedule:
 
     def __post_init__(self):
         check_w_l(self.w)
+        # delta is bookkeeping only, but to_dict reports it
+        if self.delta is not None:
+            _check_unit(self.delta, "delta")
         # lists become float arrays; a float array is kept as it is, without a copy.
         # Complex angles are rejected, not cast: the cast would drop their imaginary parts
         for name in ("alpha", "beta"):

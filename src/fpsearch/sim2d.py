@@ -38,7 +38,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .complexpoly import chebyshev_T
+from .complexpoly import chebyshev_T, check_real
 from .schedule import AngleSchedule, check_w_l
 
 
@@ -62,15 +62,14 @@ class TwoDimState:
 _BLOCK = 4096
 
 
-def _check_x(x, name: str = "x") -> None:
-    # both overlaps, x and lambda, lie in [0, 1]; an array is checked by its extremes (NaN if any entry is)
-    if isinstance(x, np.ndarray) and x.ndim:
-        # an empty array has nothing out of range, and no extremes to take
-        if x.size:
-            for value in (np.min(x), np.max(x)):
-                _check_x(value, name)
-    elif not 0.0 <= x <= 1.0:
-        raise ValueError(f"{name} must be in [0, 1], got {x}")
+def _check_x(x, name: str = "x") -> np.ndarray:
+    # both overlaps, x and lambda, are real and lie in [0, 1]; read as floats, an
+    # array is checked by its extremes (NaN if any entry is), an empty one not at all
+    xs = check_real(x, f"{name} must be in [0, 1]")
+    for value in (np.min(xs), np.max(xs)) if xs.size > 1 else xs.ravel().tolist():
+        if not 0.0 <= value <= 1.0:
+            raise ValueError(f"{name} must be in [0, 1], got {value}")
+    return xs
 
 
 def _iterate(x, s, phases):
@@ -93,8 +92,7 @@ def run_search(x, schedule: AngleSchedule) -> TwoDimState:
     A scalar x gives complex amplitudes; an array of x gives arrays of x's
     shape, one simulation per entry.  s = sqrt(1 - x^2) is taken from x.
     """
-    xs = np.asarray(x, dtype=float)
-    _check_x(xs)
+    xs = _check_x(x)
     ss = np.sqrt(np.maximum(0.0, 1.0 - xs * xs))
     # pairs (e^{i alpha_k}, e^{-i beta_k} - 1), k = 1..l
     beta_phase = np.exp(-1j * schedule.beta)
@@ -123,8 +121,7 @@ def success_probability_closed(lam, w: float, l: int):
     shape.  Returns amplitude norms in [0, 1], not probabilities; square them
     to compare with full-space simulation output.
     """
-    lams = np.asarray(lam, dtype=float)
-    _check_x(lams, "lambda")
+    lams = _check_x(lam, "lambda")
     l = check_w_l(w, l)
     gamma = math.sqrt(1.0 - w * w)
     L = 2 * l + 1

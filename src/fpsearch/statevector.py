@@ -1,13 +1,12 @@
 """Dense full-space simulation of the search over 2^n basis states.
 
 Validates the invariant-subspace reduction end to end: the same angle
-schedule is applied to the full amplitude vector, with the marked-state phase
-shift available both as a direct diagonal and as the two-call construction
-through a bit-flip oracle and an ancilla qubit.
+schedule is applied to the full register, a plain 1-D complex array of 2^n
+amplitudes.  The marked-state phase shift is also built as hardware would
+build it, from bit-flip oracle calls on an ancilla qubit, and that
+construction counts the calls it makes.
 
-The public operations are value-semantic: each returns a new StateVector.
-run_full_search alone keeps one private buffer and steps it in place.  This
-module reports probabilities (squared norms); the 2-D simulator reports
+This module reports probabilities (squared norms); the 2-D simulator reports
 amplitude norms, so conversions at comparison sites are explicit.
 """
 
@@ -27,24 +26,6 @@ MAX_QUBITS = 12
 
 
 @dataclass(frozen=True)
-class StateVector:
-    """Dense complex amplitudes over the 2^n computational basis states."""
-
-    amps: np.ndarray
-    n_qubits: int
-
-    def __post_init__(self):
-        # a length other than 2^n would be indexed as if it were an n-qubit register
-        n = check_qubits(self.n_qubits)
-        if np.shape(self.amps) != (1 << n,):
-            raise ValueError(f"{n} qubits need {1 << n} amplitudes, got shape {np.shape(self.amps)}")
-        object.__setattr__(self, "n_qubits", n)
-
-    def norm(self) -> float:
-        return float(np.linalg.norm(self.amps))
-
-
-@dataclass(frozen=True)
 class MarkedSet:
     """Non-empty proper subset of the n-qubit basis states."""
 
@@ -53,7 +34,10 @@ class MarkedSet:
 
     def __post_init__(self):
         n = check_qubits(self.n_qubits)
-        idx = tuple(sorted([check_int(i, "marked indices must be integers") for i in self.indices]))
+        try:
+            idx = tuple(sorted([check_int(i, "marked indices must be integers") for i in self.indices]))
+        except TypeError:
+            raise ValueError(f"marked indices must be integers in a sequence, got {self.indices!r}") from None
         dim = 1 << n
         if len(idx) == 0:
             raise ValueError("marked set must be non-empty")
@@ -80,46 +64,28 @@ def check_qubits(n_qubits: int) -> int:
     return n_qubits
 
 
-def init_uniform(n_qubits: int) -> StateVector:
-    """Equal superposition of all 2^n basis states."""
-    n_qubits = check_qubits(n_qubits)
-    dim = 1 << n_qubits
-    amps = np.full(dim, 2.0 ** (-n_qubits / 2.0), dtype=complex)
-    return StateVector(amps=amps, n_qubits=n_qubits)
+def apply_marked_phase_via_oracle(amps: np.ndarray, marked: MarkedSet, alpha: float) -> tuple[np.ndarray, int]:
+    """Marked phase shift e^{i alpha} built from bit-flip oracle calls and an ancilla.
 
-
-def _check_compatible(state: StateVector, marked: MarkedSet) -> None:
-    if state.n_qubits != marked.n_qubits:
-        raise ValueError("state and marked set act on different registers")
-
-
-def apply_marked_phase(state: StateVector, marked: MarkedSet, alpha: float) -> StateVector:
-    """Multiply every marked amplitude by e^{i alpha}; direct diagonal form."""
-    _check_compatible(state, marked)
-    amps = state.amps.copy()
-    amps[list(marked.indices)] *= cmath.exp(1j * alpha)
-    return StateVector(amps=amps, n_qubits=state.n_qubits)
-
-
-def apply_marked_phase_via_oracle(
-    state: StateVector, marked: MarkedSet, alpha: float
-) -> StateVector:
-    """Marked phase shift built from two bit-flip oracle calls and an ancilla.
-
+    ``amps`` holds the 2^n amplitudes of the register ``marked`` acts on.
     Extends the register with one ancilla qubit in |0>, flips it on marked
     indices, phases the ancilla-|1> half by e^{i alpha}, flips back, and
-    checks the ancilla really returned to |0> before discarding it.
+    checks the ancilla really returned to |0> before discarding it.  Returns
+    the new amplitudes and the number of oracle calls made.
     """
-    _check_compatible(state, marked)
-    dim = 1 << state.n_qubits
+    dim = 1 << marked.n_qubits
+    # a length other than 2^n would be indexed as if it were an n-qubit register
+    if np.shape(amps) != (dim,):
+        raise ValueError(f"{marked.n_qubits} qubits need {dim} amplitudes, got shape {np.shape(amps)}")
     full = np.zeros(2 * dim, dtype=complex)
-    full[:dim] = state.amps
+    full[:dim] = amps
     idx = np.array(marked.indices, dtype=int)
+    calls = 0
 
     def flip_oracle():
-        low = full[idx].copy()
-        full[idx] = full[idx + dim]
-        full[idx + dim] = low
+        nonlocal calls
+        calls += 1
+        full[idx], full[idx + dim] = full[idx + dim], full[idx]
 
     flip_oracle()
     full[dim:] *= cmath.exp(1j * alpha)
@@ -127,7 +93,7 @@ def apply_marked_phase_via_oracle(
     # nothing may remain entangled with the ancilla
     if np.any(full[dim:] != 0.0):
         raise RuntimeError("ancilla failed to disentangle")
-    return StateVector(amps=full[:dim], n_qubits=state.n_qubits)
+    return full[:dim], calls
 
 
 class FullSearchResult(NamedTuple):
@@ -139,7 +105,7 @@ class FullSearchResult(NamedTuple):
 def run_full_search(
     n_qubits: int, marked: MarkedSet, schedule: AngleSchedule
 ) -> FullSearchResult:
-    """Run the scheduled search on the full register from the uniform state.
+    """Run the scheduled search on the full register from the uniform state psi0.
 
     One buffer a, copied from psi0, is stepped in place; step k applies
     a[M] *= e^{i alpha_k}, then a -= (1 - e^{i beta_k}) <psi0|a> psi0.
@@ -148,9 +114,11 @@ def run_full_search(
     run would cost on hardware: one phase-oracle call per iteration, each
     worth two standard bit-flip oracle calls.
     """
-    state = init_uniform(n_qubits)
-    _check_compatible(state, marked)
-    psi0, amps = state.amps, state.amps.copy()
+    n = check_qubits(n_qubits)
+    if n != marked.n_qubits:
+        raise ValueError(f"a {n}-qubit state and a marked set on {marked.n_qubits} qubits act on different registers")
+    psi0 = np.full(1 << n, 2.0 ** (-n / 2.0), dtype=complex)
+    amps = psi0.copy()
     idx = np.array(marked.indices, dtype=np.intp)
     for alpha, beta in zip(schedule.alpha, schedule.beta):
         amps[idx] *= cmath.exp(1j * alpha)

@@ -223,6 +223,13 @@ class TestTilingWeight:
         with pytest.raises(ValueError, match=f"{field} must be finite, got {bad}"):
             WeightModel(variant="A", **values)
 
+    @pytest.mark.parametrize("field", ["w", "x"])
+    @pytest.mark.parametrize("bad", ["0.5", 0.5 + 0.3j])
+    def test_rejects_non_real_w_and_x(self, field, bad):
+        values = {"w": 0.5, "x": 0.5, field: bad}
+        with pytest.raises(ValueError, match=f"{field} must be a finite real number, got"):
+            WeightModel(variant="A", **values)
+
 
 class TestWeightTotals:
     def test_domain(self):

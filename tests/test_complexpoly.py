@@ -104,6 +104,14 @@ class TestChebyshevT:
         with pytest.raises(ValueError, match=f"degree must be an integer, got {L}"):
             chebyshev_T(L, 0.3)
 
+    @pytest.mark.parametrize("x", [np.array([0.5 + 0.3j]), 0.5 + 0.3j, [0.2, 0.5j]])
+    def test_rejects_complex_x(self, x):
+        # the float cast would keep only the real part: T_3(0.5) = -1
+        with pytest.raises(ValueError, match="x must be real, got"):
+            chebyshev_T(3, x)
+        with pytest.raises(ValueError, match="x must be real, got"):
+            quasi_cheb_closed(QuasiChebParams(gamma=0.5, L=3), x)
+
 
 class TestParams:
     def test_rejects_bad_gamma(self):
@@ -111,6 +119,11 @@ class TestParams:
             QuasiChebParams(gamma=0.0, L=3)
         with pytest.raises(ValueError):
             QuasiChebParams(gamma=1.2, L=3)
+
+    @pytest.mark.parametrize("gamma", ["0.5", 0.5j, None])
+    def test_rejects_non_real_gamma(self, gamma):
+        with pytest.raises(ValueError, match=r"gamma must be a real number in \(0, 1\], got"):
+            QuasiChebParams(gamma=gamma, L=3)
 
     def test_rejects_even_degree(self):
         with pytest.raises(ValueError):

@@ -27,7 +27,11 @@ class TestSearchParams:
         SearchParams(w=0.08, delta=0.3)
 
     @pytest.mark.parametrize(
-        "w,delta", [(0.0, 0.3), (1.0, 0.3), (0.5, 0.0), (0.5, 1.0), (1.5, 0.3), (math.nan, 0.3), (0.5, math.inf)]
+        "w,delta",
+        [
+            (0.0, 0.3), (1.0, 0.3), (0.5, 0.0), (0.5, 1.0), (1.5, 0.3), (math.nan, 0.3), (0.5, math.inf),
+            (0.5, "0.3"), (0.5, 0.3j),
+        ],
     )
     def test_invalid(self, w, delta):
         with pytest.raises(ValueError):
@@ -214,6 +218,14 @@ class TestAngleSchedule:
     def test_rejects_w_outside_the_unit_interval(self, w):
         with pytest.raises(ValueError, match="w must be in"):
             AngleSchedule(w=w, alpha=np.ones(2), beta=np.ones(2))
+
+    @pytest.mark.parametrize("delta", [5.0, 0.0, math.nan, "x", 0.3j])
+    def test_rejects_delta_outside_the_unit_interval(self, delta):
+        # delta is bookkeeping only, but to_dict would report it in the angles JSON
+        with pytest.raises(ValueError, match="delta must be"):
+            AngleSchedule(w=0.5, alpha=np.ones(2), beta=np.ones(2), delta=delta)
+        with pytest.raises(ValueError, match="delta must be"):
+            make_schedule(0.3, 2, delta=delta)
 
     @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf, 1j, 1 + 0j])
     @pytest.mark.parametrize("field", ["alpha", "beta"])

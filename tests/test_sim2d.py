@@ -156,7 +156,9 @@ class TestRunSearchKernel:
         empty = run_search(np.array([]), sched)
         assert empty.r_amp.shape == empty.t_amp.shape == (0,)
 
-    @pytest.mark.parametrize("x", [1.5, math.nan, np.array([0.2, math.nan]), np.array([[0.5], [1.5]])])
+    @pytest.mark.parametrize(
+        "x", [1.5, math.nan, np.array([0.2, math.nan]), np.array([[0.5], [1.5]]), np.array([0.5 + 0.3j]), 0.5 + 0.3j]
+    )
     def test_domain(self, x):
         with pytest.raises(ValueError, match=r"x must be in \[0, 1\]"):
             run_search(x, make_schedule(0.3, 4))
@@ -207,7 +209,7 @@ class TestClosedFormProbability:
         [
             (1.2, 0.1, 3), (math.nan, 0.1, 3), (0.5, 0.0, 3), (0.5, 0.1, 0), (0.5, 0.1, 50_000),
             (np.array([0.5, 1.2]), 0.1, 3), (np.array([-0.1, 0.5]), 0.1, 3), (np.array([0.2, math.nan]), 0.1, 3),
-            (0.5, 0.3, 2.5), (0.5, 0.3, 2.0),
+            (0.5, 0.3, 2.5), (0.5, 0.3, 2.0), (np.array([0.5 + 0.3j]), 0.3, 2), (0.5 + 0.3j, 0.3, 2),
         ],
     )
     def test_domain(self, lam, w, l):

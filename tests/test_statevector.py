@@ -1,4 +1,9 @@
-"""Unit tests for the full-register simulator."""
+"""Unit tests for the full-register simulator.
+
+A state is a plain 1-D array of 2^n complex amplitudes.  The direct diagonal
+phase shift is written out here, as the reference the oracle construction is
+checked against.
+"""
 
 import math
 import re
@@ -6,42 +11,61 @@ import re
 import numpy as np
 import pytest
 
+from fpsearch import statevector
 from fpsearch.schedule import AngleSchedule, SearchParams, make_schedule, min_iterations
 from fpsearch.sim2d import run_search
 from fpsearch.statevector import (
     MAX_QUBITS,
     MarkedSet,
-    StateVector,
-    apply_marked_phase,
     apply_marked_phase_via_oracle,
-    init_uniform,
+    check_qubits,
     run_full_search,
 )
+from fpsearch.verify import check_oracle_construction
+
+# no iterations: run_full_search reports the marked weight of its start state
+NO_ITERATIONS = AngleSchedule(w=0.5, alpha=np.zeros(0), beta=np.zeros(0))
 
 
 def random_state(n_qubits, seed):
     rng = np.random.default_rng(seed)
     amps = rng.normal(size=1 << n_qubits) + 1j * rng.normal(size=1 << n_qubits)
-    amps /= np.linalg.norm(amps)
-    return StateVector(amps=amps, n_qubits=n_qubits)
+    return amps / np.linalg.norm(amps)
+
+
+def direct_phase(amps, marked, alpha):
+    """The reference: e^{i alpha} on the marked amplitudes, the rest unchanged."""
+    out = amps.copy()
+    out[list(marked.indices)] *= np.exp(1j * alpha)
+    return out
 
 
 class TestInitUniform:
+    """The uniform start state that run_full_search builds, and the register sizes it takes."""
+
     def test_single_qubit(self):
-        state = init_uniform(1)
-        assert np.allclose(state.amps, [1.0 / math.sqrt(2.0)] * 2)
+        for i in (0, 1):
+            prob = run_full_search(1, MarkedSet(indices=(i,), n_qubits=1), NO_ITERATIONS).success_probability
+            assert prob == pytest.approx(0.5, abs=1e-15)
 
     def test_three_qubits(self):
-        state = init_uniform(3)
-        assert np.allclose(state.amps, np.full(8, 1.0 / (2.0 * math.sqrt(2.0))))
+        for i in range(8):
+            prob = run_full_search(3, MarkedSet(indices=(i,), n_qubits=3), NO_ITERATIONS).success_probability
+            assert prob == pytest.approx(1.0 / 8.0, abs=1e-15)
 
     def test_normalized_at_scale(self):
-        assert init_uniform(10).norm() == pytest.approx(1.0, abs=1e-12)
+        # a marked set and its complement split the start state's whole weight
+        marked = MarkedSet(indices=tuple(range(0, 1024, 3)), n_qubits=10)
+        rest = MarkedSet(indices=tuple(sorted(set(range(1024)) - set(marked.indices))), n_qubits=10)
+        total = sum(run_full_search(10, m, NO_ITERATIONS).success_probability for m in (marked, rest))
+        assert total == pytest.approx(1.0, abs=1e-12)
 
     @pytest.mark.parametrize("n", [0, -1, MAX_QUBITS + 1, 5.5, 5.0])
     def test_capability_bounds(self, n):
-        with pytest.raises(ValueError):
-            init_uniform(n)
+        with pytest.raises(ValueError, match="n_qubits must be"):
+            check_qubits(n)
+        with pytest.raises(ValueError, match="n_qubits must be"):
+            run_full_search(n, MarkedSet(indices=(0,), n_qubits=1), make_schedule(0.5, 1))
 
 
 class TestMarkedSet:
@@ -65,7 +89,7 @@ class TestMarkedSet:
         with pytest.raises(ValueError):
             MarkedSet(indices=(1, 1), n_qubits=2)
 
-    @pytest.mark.parametrize("indices", [(2.9, 5.5), (2.0,)])
+    @pytest.mark.parametrize("indices", [(2.9, 5.5), (2.0,), 5])
     def test_rejects_non_integer_indices(self, indices):
         with pytest.raises(ValueError, match="must be integers"):
             MarkedSet(indices=indices, n_qubits=3)
@@ -86,69 +110,99 @@ class TestMarkedSet:
 
 
 class TestStateVector:
+    """A state is a 1-D array of exactly 2^n amplitudes for the register it is used on."""
+
     @pytest.mark.parametrize("shape", [(16,), (4,), (2, 4)], ids=["too-long", "too-short", "not-a-vector"])
     def test_rejects_amplitude_count_mismatch(self, shape):
-        # (16,) once passed as 3 qubits; (4,) failed later inside numpy indexing
+        # without the check, numpy would fail to broadcast with no word about the register
         with pytest.raises(ValueError, match=re.escape(f"3 qubits need 8 amplitudes, got shape {shape}")):
-            StateVector(amps=np.ones(shape), n_qubits=3)
+            apply_marked_phase_via_oracle(np.ones(shape), MarkedSet(indices=(1,), n_qubits=3), 0.5)
 
     def test_reads_register_as_int(self):
-        state = StateVector(amps=np.ones(8) / math.sqrt(8.0), n_qubits=np.int64(3))
-        assert type(state.n_qubits) is int and state.n_qubits == 3
+        assert type(check_qubits(np.int64(3))) is int and check_qubits(np.int64(3)) == 3
+        marked, sched = MarkedSet(indices=(1, 6), n_qubits=3), make_schedule(0.3, 2)
+        assert run_full_search(np.int64(3), marked, sched) == run_full_search(3, marked, sched)
 
 
 class TestMarkedPhase:
+    """The marked phase shift through the oracle, against written-out references."""
+
     def test_zero_angle_is_identity(self):
-        state = random_state(3, seed=1)
-        marked = MarkedSet(indices=(2, 5), n_qubits=3)
-        out = apply_marked_phase(state, marked, 0.0)
-        assert np.array_equal(out.amps, state.amps)
+        amps = random_state(3, seed=1)
+        out, _ = apply_marked_phase_via_oracle(amps, MarkedSet(indices=(2, 5), n_qubits=3), 0.0)
+        assert np.array_equal(out, amps)
 
     def test_sign_flip_on_uniform(self):
-        state = init_uniform(1)
-        out = apply_marked_phase(state, MarkedSet(indices=(0,), n_qubits=1), math.pi)
         root_half = 1.0 / math.sqrt(2.0)
-        assert np.allclose(out.amps, [-root_half, root_half], atol=1e-15)
+        out, _ = apply_marked_phase_via_oracle(
+            np.full(2, root_half, dtype=complex), MarkedSet(indices=(0,), n_qubits=1), math.pi
+        )
+        assert np.allclose(out, [-root_half, root_half], atol=1e-15)
 
     def test_matches_diagonal_oracle(self):
-        state = random_state(5, seed=2)
+        amps = random_state(5, seed=2)
         marked = MarkedSet(indices=(0, 7, 19, 30), n_qubits=5)
         alpha = math.pi / 3.0
         diag = np.ones(32, dtype=complex)
         diag[list(marked.indices)] = np.exp(1j * alpha)
-        out = apply_marked_phase(state, marked, alpha)
-        assert np.max(np.abs(out.amps - diag * state.amps)) <= 1e-15
-        assert out.norm() == pytest.approx(1.0, abs=1e-12)
+        out, _ = apply_marked_phase_via_oracle(amps, marked, alpha)
+        assert np.max(np.abs(out - diag * amps)) <= 1e-15
+        assert np.linalg.norm(out) == pytest.approx(1.0, abs=1e-12)
 
 
 class TestOracleConstruction:
     def test_zero_angle(self):
-        state = random_state(2, seed=3)
+        # the result is a new array; the amplitudes passed in are never written, at any angle
+        amps = random_state(2, seed=3)
+        kept = amps.copy()
         marked = MarkedSet(indices=(3,), n_qubits=2)
-        out = apply_marked_phase_via_oracle(state, marked, 0.0)
-        assert np.max(np.abs(out.amps - state.amps)) <= 1e-15
+        out, _ = apply_marked_phase_via_oracle(amps, marked, 0.0)
+        assert np.array_equal(out, kept) and not np.shares_memory(out, amps)
+        apply_marked_phase_via_oracle(amps, marked, 1.0)
+        assert np.array_equal(amps, kept)
 
     def test_matches_direct_small(self):
-        state = init_uniform(2)
+        amps = np.full(4, 0.5, dtype=complex)
         marked = MarkedSet(indices=(3,), n_qubits=2)
-        direct = apply_marked_phase(state, marked, math.pi)
-        via = apply_marked_phase_via_oracle(state, marked, math.pi)
-        assert np.max(np.abs(direct.amps - via.amps)) <= 1e-12
+        via, _ = apply_marked_phase_via_oracle(amps, marked, math.pi)
+        assert np.max(np.abs(direct_phase(amps, marked, math.pi) - via)) <= 1e-12
 
     def test_matches_direct_random(self):
         rng = np.random.default_rng(4)
-        state = random_state(6, seed=5)
-        indices = tuple(rng.choice(64, size=9, replace=False))
-        marked = MarkedSet(indices=indices, n_qubits=6)
-        direct = apply_marked_phase(state, marked, 1.234)
-        via = apply_marked_phase_via_oracle(state, marked, 1.234)
-        assert np.max(np.abs(direct.amps - via.amps)) <= 1e-12
+        amps = random_state(6, seed=5)
+        marked = MarkedSet(indices=tuple(rng.choice(64, size=9, replace=False)), n_qubits=6)
+        via, _ = apply_marked_phase_via_oracle(amps, marked, 1.234)
+        assert np.max(np.abs(direct_phase(amps, marked, 1.234) - via)) <= 1e-12
 
     def test_ancilla_check_is_not_an_assert(self):
         # a NaN phase leaves NaN on the ancilla half; the check must survive python -O
         marked = MarkedSet(indices=(3,), n_qubits=2)
         with pytest.raises(RuntimeError, match="ancilla"):
-            apply_marked_phase_via_oracle(init_uniform(2), marked, math.nan)
+            apply_marked_phase_via_oracle(np.full(4, 0.5, dtype=complex), marked, math.nan)
+
+    def test_counts_two_oracle_calls(self):
+        # one phase shift costs two bit-flip oracle calls, whatever the angle or the marked set
+        for n, indices in ((1, (0,)), (4, (2, 9, 15)), (6, tuple(range(1, 64)))):
+            marked = MarkedSet(indices=indices, n_qubits=n)
+            for alpha in (0.0, 1.234, math.pi):
+                _, calls = apply_marked_phase_via_oracle(random_state(n, seed=n), marked, alpha)
+                assert type(calls) is int and calls == 2
+
+    def test_extra_oracle_calls_fail_the_check(self, monkeypatch):
+        # a construction with the right amplitudes but extra oracle calls must fail:
+        # the verify check measures the count, it does not assume it
+        assert check_oracle_construction(np.random.default_rng(0)).passed
+        counted = apply_marked_phase_via_oracle
+
+        def wasteful(amps, marked, alpha):
+            out, calls = counted(amps, marked, alpha)
+            # a zero phase shift changes no amplitude but still queries the oracle
+            out, more = counted(out, marked, 0.0)
+            return out, calls + more
+
+        monkeypatch.setattr(statevector, "apply_marked_phase_via_oracle", wasteful)
+        result = check_oracle_construction(np.random.default_rng(0))
+        assert not result.passed and result.max_deviation == 2.0
 
 
 class TestFullSearch:
