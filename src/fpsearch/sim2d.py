@@ -29,6 +29,25 @@ call.  It does not multiply these 2x2 factors: since R|t> = psi = (s, -x),
 so after the marked phase e^{i alpha} on t each iteration is one reflection
 about psi, four vector updates.  The global factors e^{i beta_k} commute with
 everything, so their product multiplies both amplitudes once, at the end.
+
+One step function, ``_iterate``, applies these reflections; three drivers feed it:
+
+- the scalar driver, for a scalar x, on Python complex numbers;
+- the grouped driver, for an array of at most ``_GROUPED_MAX`` points and a
+  schedule of at least ``_GROUPED_MIN_L`` iterations.  There numpy's per-call
+  cost outweighs the arithmetic, so it splits the iterations into about
+  sqrt(l) groups, finds every group's 2x2 transfer matrix in one pass of wider
+  arrays, and applies the matrices in order: at l = 265, 249 numpy calls on
+  wider arrays instead of 2385;
+- the blocked driver, for every other array, iterating the state itself in
+  blocks of ``_BLOCK`` points.
+
+Each driver gives the same bits for the same input; the scalar and blocked
+drivers keep the arithmetic of the one-state-per-point loop.  The grouped
+driver regroups the products, so it differs from the blocked driver in the
+last digits: up to 5e-15 at l = 265 and 7.6e-14 at l = 49999 over 40 points.
+Large grids (the deep sweep) and short schedules (verify's arrays, l <= 7, and
+the README sweep, l = 12) stay on the blocked driver.
 """
 
 from __future__ import annotations
@@ -54,12 +73,19 @@ class TwoDimState:
         return np.hypot(np.abs(self.r_amp), np.abs(self.t_amp))
 
 
-# run_search slices an array of x into blocks of this many points, so that its
-# working vectors stay in cache.  Results reproduce only at a fixed block size:
-# at another one numpy's complex loops round some entries differently (4096- and
-# 16384-point blocks differ by up to 8.1e-15 in t_amp over 10^5 points at
-# w = 0.01, l = 265)
+# The blocked driver slices an array of x into blocks of this many points, so
+# that its working vectors stay in cache.  Its results reproduce only at a fixed
+# block size: at another one numpy's complex loops round some entries
+# differently (4096- and 16384-point blocks differ by up to 8.1e-15 in t_amp
+# over 10^5 points at w = 0.01, l = 265)
 _BLOCK = 4096
+# Arrays of at most _GROUPED_MAX points take the grouped driver when the
+# schedule has at least _GROUPED_MIN_L iterations; all else takes the blocked
+# one.  Measured on 2 cores (numpy 2.4.6): at l = 265 the drivers tie near
+# 200 points, at l = 2000 to 10000 the grouped one still wins by 10-20% at 128;
+# below 100 points they tie at l = 16-24
+_GROUPED_MAX = 128
+_GROUPED_MIN_L = 32
 
 
 def _check_x(x, name: str = "x") -> np.ndarray:
@@ -72,17 +98,39 @@ def _check_x(x, name: str = "x") -> np.ndarray:
     return xs
 
 
-def _iterate(x, s, phases):
-    # the initial state R(x)|r> = (x, s), then per iteration t *= e^{i alpha_k}
-    # and the reflection about psi = (s, -x) with c_k = e^{-i beta_k} - 1; the
-    # global phase prod_k e^{i beta_k} is left to the caller.  x and s are
-    # floats or equal-length complex vectors
-    r, t = x, s
+def _iterate(r, t, x, s, phases):
+    # from the state (r, t), per iteration t *= e^{i alpha_k} and the reflection
+    # about psi = (s, -x) with c_k = e^{-i beta_k} - 1; the global phase
+    # prod_k e^{i beta_k} is left to the caller.  Operands are floats, or complex
+    # arrays that broadcast together (the grouped driver's phases are columns)
     for a, c in phases:
         t = t * a
         p = c * (s * r - x * t)
         r = r + s * p
         t = t - x * p
+    return r, t
+
+
+def _grouped(x, s, alpha_phase, c):
+    # the l iterations in g = isqrt(l) consecutive groups, the last one padded
+    # with identity steps (a = 1, c = 0 leave r and t exact).  One _iterate over
+    # (g, 2N) lanes, started at the basis columns (1, 0) in the first N lanes and
+    # (0, 1) in the rest, gives each group's 2x2 transfer matrix per point; the
+    # matrices then act on the initial state (x, s), group 1 first
+    n, l = x.size, alpha_phase.size
+    g = max(1, math.isqrt(l))
+    pad = -l % g
+    a = np.concatenate((alpha_phase, np.ones(pad))).reshape(g, -1, 1)
+    c = np.concatenate((c, np.zeros(pad))).reshape(g, -1, 1)
+    r = np.zeros((g, 2 * n), dtype=complex)
+    t = np.zeros((g, 2 * n), dtype=complex)
+    r[:, :n] = 1.0
+    t[:, n:] = 1.0
+    xx, ss = np.concatenate((x, x)), np.concatenate((s, s))
+    m_r, m_t = _iterate(r, t, xx, ss, zip(a.transpose(1, 0, 2), c.transpose(1, 0, 2)))
+    r, t = x, s
+    for j in range(g):
+        r, t = m_r[j, :n] * r + m_r[j, n:] * t, m_t[j, :n] * r + m_t[j, n:] * t
     return r, t
 
 
@@ -94,21 +142,27 @@ def run_search(x, schedule: AngleSchedule) -> TwoDimState:
     """
     xs = _check_x(x)
     ss = np.sqrt(np.maximum(0.0, 1.0 - xs * xs))
-    # pairs (e^{i alpha_k}, e^{-i beta_k} - 1), k = 1..l
+    # e^{i alpha_k} and c_k = e^{-i beta_k} - 1, k = 1..l
     beta_phase = np.exp(-1j * schedule.beta)
-    phases = list(zip(np.exp(1j * schedule.alpha).tolist(), (beta_phase - 1.0).tolist()))
+    alpha_phase, c = np.exp(1j * schedule.alpha), beta_phase - 1.0
     # a product of unit phases: e^{i sum beta} would round a sum of size ~pi*l
     glob = complex(math.prod(beta_phase.tolist())).conjugate()
     if xs.ndim == 0:
-        r, t = _iterate(float(xs), float(ss), phases)
+        x0, s0 = float(xs), float(ss)
+        r, t = _iterate(x0, s0, x0, s0, zip(alpha_phase.tolist(), c.tolist()))
         return TwoDimState(r_amp=glob * r, t_amp=glob * t)
+    # complex copies: numpy has no real-times-complex loop and would convert x and s at every product
     xf, sf = xs.ravel(), ss.ravel()
-    r = np.empty(xf.size, dtype=complex)
-    t = np.empty(xf.size, dtype=complex)
-    for lo in range(0, xf.size, _BLOCK):
-        block = slice(lo, lo + _BLOCK)
-        # complex copies: numpy has no real-times-complex loop and would convert x and s at every product
-        r[block], t[block] = _iterate(xf[block].astype(complex), sf[block].astype(complex), phases)
+    if xf.size <= _GROUPED_MAX and schedule.l >= _GROUPED_MIN_L:
+        r, t = _grouped(xf.astype(complex), sf.astype(complex), alpha_phase, c)
+    else:
+        phases = list(zip(alpha_phase.tolist(), c.tolist()))
+        r = np.empty(xf.size, dtype=complex)
+        t = np.empty(xf.size, dtype=complex)
+        for lo in range(0, xf.size, _BLOCK):
+            block = slice(lo, lo + _BLOCK)
+            xb, sb = xf[block].astype(complex), sf[block].astype(complex)
+            r[block], t[block] = _iterate(xb, sb, xb, sb, phases)
     r *= glob
     t *= glob
     return TwoDimState(r_amp=r.reshape(xs.shape), t_amp=t.reshape(xs.shape))
@@ -139,6 +193,8 @@ def classic_grover_optimal(lam: float) -> int:
     Half-integer ties round to the even neighbour (Python's round); the
     result is floored at 0.
     """
-    if not 0.0 < lam < 1.0:
-        raise ValueError(f"lambda must be in (0, 1), got {lam}")
-    return max(0, round(math.pi / (4.0 * math.asin(lam)) - 0.5))
+    what = "lambda must be in (0, 1)"
+    real = check_real(lam, what)
+    if real.ndim or not 0.0 < float(real) < 1.0:
+        raise ValueError(f"{what}, got {lam}")
+    return max(0, round(math.pi / (4.0 * math.asin(float(real))) - 0.5))

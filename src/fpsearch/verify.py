@@ -250,7 +250,7 @@ def check_oracle_construction(rng) -> CheckResult:
             direct = amps.copy()
             direct[list(marked.indices)] *= cmath.exp(1j * alpha)
             via, calls = statevector.apply_marked_phase_via_oracle(amps, marked, alpha)
-            devs += (np.abs(direct - via), abs(np.linalg.norm(direct) - 1.0), abs(calls - 2))
+            devs += (np.abs(direct - via), abs(np.linalg.norm(via) - 1.0), abs(calls - 2))
     return _result("oracle_construction", None, {}, devs, 1e-12)
 
 

@@ -15,7 +15,13 @@ from fpsearch.complexpoly import (
     quasi_cheb_recursive,
 )
 from fpsearch.schedule import AngleSchedule, SearchParams, make_schedule, min_iterations
-from fpsearch.sim2d import classic_grover_optimal, run_search, success_probability_closed
+from fpsearch.sim2d import (
+    _GROUPED_MAX,
+    _GROUPED_MIN_L,
+    classic_grover_optimal,
+    run_search,
+    success_probability_closed,
+)
 
 # The operator product written out as 2x2 matrices: the reference that
 # run_search's reflection kernel is checked against.
@@ -123,16 +129,29 @@ class TestRunSearch:
 
 class TestRunSearchKernel:
     SCHEDULES = [(0.5, 1), (0.08, 12), (0.01, 265)]
-    PLAIN = [pytest.param(None, l, id=f"plain-{l}") for l in (0, 1, 39)]
+    KERNEL_CASES = [(w, l, f"{w}-{l}") for w, l in SCHEDULES] + [(None, l, f"plain-{l}") for l in (0, 1, 39)]
+    # 200 points run the blocked driver; 40 points run the grouped one at l >= _GROUPED_MIN_L:
+    # (0.01, 265) in g = 16 groups with 7 padding steps, plain-39 in g = 6 groups
+    GRIDS = [pytest.param(w, l, 200, id=name) for w, l, name in KERNEL_CASES] + [
+        pytest.param(w, l, 40, id=f"{name}-40pts") for w, l, name in KERNEL_CASES
+    ]
 
-    @pytest.mark.parametrize("w,l", SCHEDULES + PLAIN)
-    def test_matches_matrix_loop(self, w, l):
-        sched = plain_schedule(l) if w is None else make_schedule(w, l)
-        xs = np.linspace(0.0, 1.0, 200)
+    @staticmethod
+    def _assert_matches_matrix_loop(xs, sched):
         out = run_search(xs, sched)
         ref = np.array([_matrix_loop(float(x), sched) for x in xs])
         assert np.max(np.abs(out.r_amp - ref[:, 0])) <= 1e-13
         assert np.max(np.abs(out.t_amp - ref[:, 1])) <= 1e-13
+
+    @pytest.mark.parametrize("w,l,points", GRIDS)
+    def test_matches_matrix_loop(self, w, l, points):
+        sched = plain_schedule(l) if w is None else make_schedule(w, l)
+        self._assert_matches_matrix_loop(np.linspace(0.0, 1.0, points), sched)
+
+    @pytest.mark.parametrize("points", [_GROUPED_MAX, _GROUPED_MAX + 1])
+    @pytest.mark.parametrize("l", [_GROUPED_MIN_L - 1, _GROUPED_MIN_L])
+    def test_driver_boundary_matches_matrix_loop(self, l, points):
+        self._assert_matches_matrix_loop(np.linspace(0.0, 1.0, points), make_schedule(0.05, l))
 
     def test_blocks_bit_identical(self):
         sched = make_schedule(0.08, 12)
@@ -153,6 +172,12 @@ class TestRunSearchKernel:
         assert (start.r_amp, start.t_amp) == (0.6, 0.8)
         grid = run_search(np.full((2, 3), 0.5), sched)
         assert grid.r_amp.shape == grid.t_amp.shape == grid.norm().shape == (2, 3)
+        # a grouped-driver grid keeps its shape too, entry for entry
+        xs = np.linspace(0.0, 1.0, 40)
+        deep = make_schedule(0.01, 265)
+        grid, flat = run_search(xs.reshape(4, 10), deep), run_search(xs, deep)
+        assert grid.r_amp.shape == grid.t_amp.shape == (4, 10)
+        assert np.array_equal(grid.r_amp.ravel(), flat.r_amp) and np.array_equal(grid.t_amp.ravel(), flat.t_amp)
         empty = run_search(np.array([]), sched)
         assert empty.r_amp.shape == empty.t_amp.shape == (0,)
 
@@ -275,8 +300,8 @@ class TestClassicGroverOptimal:
         assert classic_grover_optimal(math.sin(math.pi / 8.0)) == 2
 
     def test_domain(self):
-        for lam in (0.0, 1.0, -0.3, 1.5):
-            with pytest.raises(ValueError):
+        for lam in (0.0, 1.0, -0.3, 1.5, math.nan, 0.5 + 0.1j, 0.5 + 0j, "0.5", None, np.array([0.3, 0.5])):
+            with pytest.raises(ValueError, match=r"lambda must be in \(0, 1\)"):
                 classic_grover_optimal(lam)
 
     def test_near_optimal_success(self):
