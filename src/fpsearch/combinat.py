@@ -28,9 +28,8 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from numpy.polynomial import polynomial as npoly
 
-from .complexpoly import QuasiChebParams, check_gamma, check_int, check_odd, check_real, n_poly_coeffs, tan_table
+from .complexpoly import check_int, check_odd, check_real, tan_table
 
 MAX_ENUM_L = 15
 MAX_WEIGHT_L = 13
@@ -168,29 +167,6 @@ def tiling_weight(bits, model: WeightModel):
     return weights if bits.ndim == 2 else complex(weights[0])
 
 
-def _total_weight(L: int, gamma: float, x: float, wrap: bool) -> complex:
-    # variant A; the cut-open line (wrap=False) takes the modified squares
-    L = _check_L(L, MAX_WEIGHT_L, "the weight total")
-    check_gamma(gamma)
-    model = WeightModel(variant="A", w=math.sqrt(1.0 - gamma * gamma), x=x, modified=not wrap)
-    return complex(np.sum(tiling_weight(enumerate_tilings(L, wrap), model)))
-
-
-def total_star_weight(L: int, gamma: float, x: float) -> complex:
-    """Sum of all L-star tiling weights; equals 2 N_L(x)."""
-    return _total_weight(L, gamma, x, wrap=True)
-
-
-def total_line_weight(L: int, gamma: float, x: float) -> complex:
-    """Sum of all modified (cut-open line) tiling weights; equals N_L(x)."""
-    return _total_weight(L, gamma, x, wrap=False)
-
-
-def n_poly_value(L: int, gamma: float, x: float) -> complex:
-    """Numerator polynomial N_L(x), the reference for the tiling totals."""
-    return complex(npoly.polyval(x, n_poly_coeffs(QuasiChebParams(gamma=gamma, L=L))))
-
-
 @dataclass(frozen=True)
 class CoefficientReport:
     """Outcome of comparing the two domino weightings coefficientwise in w."""
@@ -240,9 +216,9 @@ def coefficient_compare(L: int, n_s: int) -> CoefficientReport:
 
 def _check_subsets(L: int, subsets) -> np.ndarray:
     # one subset (1-D) or a batch of equal-size subsets (2-D, one per row)
-    if not isinstance(subsets, (np.ndarray, list, tuple)):
-        subsets = list(subsets)
     try:
+        if not isinstance(subsets, (np.ndarray, list, tuple)):
+            subsets = list(subsets)
         arr = np.asarray(subsets)
     except (TypeError, ValueError) as exc:
         raise ValueError("subsets must form a rectangular (S, k) array of integers") from exc

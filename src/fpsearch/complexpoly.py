@@ -127,7 +127,11 @@ def quasi_cheb_recursive(params: QuasiChebParams, x):
     a_{n-1} through n = 2l.  The result is real up to roundoff; the imaginary
     residue stays below 1e-9 * (1 + |a_L|).
     """
-    arr = np.asarray(x, dtype=complex)
+    arr = np.asarray(x)
+    # a string, set or oversized int is no number: a cast would parse, raise TypeError or overflow
+    if arr.dtype.kind not in "biufc":
+        raise ValueError(f"x must be a real or complex number, got {x!r}")
+    arr = arr.astype(complex, copy=False)
     # written so that a NaN fails it: NaN <= 10 is False
     if not np.all(np.abs(arr) <= 10.0):
         raise ValueError("recursion evaluation is guarded to finite |x| <= 10")

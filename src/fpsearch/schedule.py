@@ -34,14 +34,9 @@ def _check_unit(value: float, name: str) -> None:
         raise ValueError(f"{name} must be in (0, 1), got {value}")
 
 
-def check_w_l(w: float, l: int | None = None) -> int | None:
-    """Reject w outside (0, 1) and, when given, l that is not an integer in 1..MAX_ITERATIONS.
-
-    Returns l read as a Python int, or None when l is not given.
-    """
+def check_w_l(w: float, l: int) -> int:
+    """Reject w outside (0, 1) and l that is not an integer in 1..MAX_ITERATIONS; returns l as a Python int."""
     _check_unit(w, "w")
-    if l is None:
-        return None
     l = check_int(l, "l must be an integer")
     if not 1 <= l <= MAX_ITERATIONS:
         raise ValueError(f"l must be in 1..{MAX_ITERATIONS}, got {l}")
@@ -56,7 +51,7 @@ class SearchParams:
     delta: float
 
     def __post_init__(self):
-        check_w_l(self.w)
+        _check_unit(self.w, "w")
         _check_unit(self.delta, "delta")
 
 
@@ -103,7 +98,7 @@ class AngleSchedule:
     delta: float | None = None
 
     def __post_init__(self):
-        check_w_l(self.w)
+        _check_unit(self.w, "w")
         # delta is bookkeeping only, but to_dict reports it
         if self.delta is not None:
             _check_unit(self.delta, "delta")

@@ -42,10 +42,13 @@ One step function, ``_iterate``, applies these reflections; three drivers feed i
 - the blocked driver, for every other array, iterating the state itself in
   blocks of ``_BLOCK`` points.
 
-Each driver gives the same bits for the same input; the scalar and blocked
-drivers keep the arithmetic of the one-state-per-point loop.  The grouped
-driver regroups the products, so it differs from the blocked driver in the
-last digits: up to 5e-15 at l = 265 and 7.6e-14 at l = 49999 over 40 points.
+The same array, or the same scalar, gives the same bits.  A point's last bits
+also depend on the length of the array it comes in, as numpy picks other
+inner loops for short arrays: at (w, l) = (0.08, 12), over 300 lambda in
+[0.001, 1], one-element arrays differ from the same x inside the 300-point
+grid at 195 points, by up to 1.6e-16, and scalar calls at all 300, by up to
+2.1e-15.  The grouped driver regroups the products, so it differs from the
+blocked driver by up to 5e-15 at l = 265 and 7.6e-14 at l = 49999 over 40 points.
 Large grids (the deep sweep) and short schedules (verify's arrays, l <= 7, and
 the README sweep, l = 12) stay on the blocked driver.
 """
@@ -74,10 +77,10 @@ class TwoDimState:
 
 
 # The blocked driver slices an array of x into blocks of this many points, so
-# that its working vectors stay in cache.  Its results reproduce only at a fixed
-# block size: at another one numpy's complex loops round some entries
-# differently (4096- and 16384-point blocks differ by up to 8.1e-15 in t_amp
-# over 10^5 points at w = 0.01, l = 265)
+# that its working vectors stay in cache.  The same array gives the same bits;
+# a point's bits also depend on its block's length, as numpy's complex loops
+# round some entries differently at other lengths (4096- and 16384-point blocks
+# differ by up to 8.1e-15 in t_amp over 10^5 points at w = 0.01, l = 265)
 _BLOCK = 4096
 # Arrays of at most _GROUPED_MAX points take the grouped driver when the
 # schedule has at least _GROUPED_MIN_L iterations; all else takes the blocked

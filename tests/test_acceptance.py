@@ -15,12 +15,9 @@ import numpy as np
 
 from fpsearch.combinat import (
     coefficient_compare,
-    n_poly_value,
     star_line_bijection_holds,
     tangent_sum,
     tangent_sum_terms,
-    total_line_weight,
-    total_star_weight,
     vieta_terms,
 )
 from fpsearch.complexpoly import (
@@ -33,6 +30,7 @@ from fpsearch.complexpoly import (
 from fpsearch.schedule import SearchParams, make_schedule, min_iterations
 from fpsearch.sim2d import run_search, success_probability_closed
 from fpsearch.statevector import MarkedSet, apply_marked_phase_via_oracle, run_full_search
+from fpsearch.verify import check_weight_totals
 
 DEGREES = list(range(1, 42, 2))
 GAMMAS = [round(0.05 * k, 2) for k in range(1, 21)]
@@ -108,14 +106,8 @@ def test_criterion_3_denominator_identity():
 
 
 def test_criterion_4_tiling_totals_and_bijection():
-    max_rel = 0.0
-    for L in (3, 5, 7, 9, 11):
-        for gamma in (0.3, 0.7, 1.0):
-            for x in (0.2, 0.5, 1.0):
-                ref = n_poly_value(L, gamma, x)
-                scale = 1.0 + abs(ref)
-                max_rel = np.maximum(max_rel, abs(total_star_weight(L, gamma, x) - 2.0 * ref) / scale)
-                max_rel = np.maximum(max_rel, abs(total_line_weight(L, gamma, x) - ref) / scale)
+    # star = 2 N_L and line = N_L totals over L = 3..11, gamma in {0.3, 0.7, 1}, x in {0.2, 0.5, 1}
+    max_rel = check_weight_totals(11).max_deviation
     bijection_ok = all(star_line_bijection_holds(L) for L in (3, 5, 7, 9, 11))
     ok = max_rel <= 1e-9 and bijection_ok
     verdict(

@@ -7,8 +7,9 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from numpy.polynomial import polynomial as npoly
 
-from fpsearch import combinat
+from fpsearch import combinat, verify
 from fpsearch.combinat import (
     COEFF_TOL,
     MAX_TANGENT_L,
@@ -18,7 +19,6 @@ from fpsearch.combinat import (
     combinations_array,
     coefficient_compare,
     enumerate_tilings,
-    n_poly_value,
     reflect,
     rotation_orbit,
     star_line_bijection_holds,
@@ -27,13 +27,11 @@ from fpsearch.combinat import (
     tangent_sum,
     tangent_sum_terms,
     tiling_weight,
-    total_line_weight,
-    total_star_weight,
     vieta_sum,
     vieta_terms,
     vieta_terms_by_size,
 )
-from fpsearch.complexpoly import chebyshev_T, tan_table
+from fpsearch.complexpoly import QuasiChebParams, chebyshev_T, n_poly_coeffs, tan_table
 
 LUCAS = {3: 4, 5: 11, 7: 29, 9: 76, 11: 199, 13: 521, 15: 1364}
 
@@ -231,39 +229,49 @@ class TestTilingWeight:
             WeightModel(variant="A", **values)
 
 
+def _total(L, gamma, x, wrap):
+    # all variant-A tiling weights of the star (wrap) or of the cut-open line, summed
+    model = WeightModel(variant="A", w=math.sqrt(1.0 - gamma * gamma), x=x, modified=not wrap)
+    return complex(np.sum(tiling_weight(enumerate_tilings(L, wrap), model)))
+
+
+def _numerator(L, gamma, x):
+    return complex(npoly.polyval(x, n_poly_coeffs(QuasiChebParams(gamma=gamma, L=L))))
+
+
 class TestWeightTotals:
     def test_domain(self):
-        for total in (total_star_weight, total_line_weight):
+        for wrap in (True, False):
             with pytest.raises(ValueError, match="got 9.0"):
-                total(9.0, 0.5, 0.3)
+                enumerate_tilings(9.0, wrap)
 
     def test_star_gamma_one_is_chebyshev(self):
         for x in np.linspace(-1.0, 1.0, 9):
-            got = total_star_weight(3, 1.0, float(x))
+            got = _total(3, 1.0, float(x), wrap=True)
             assert abs(got - 2.0 * chebyshev_T(3, float(x))) <= 1e-12
 
     def test_star_matches_numerator(self):
-        got = total_star_weight(5, 0.8, 0.3)
-        ref = 2.0 * n_poly_value(5, 0.8, 0.3)
+        got = _total(5, 0.8, 0.3, wrap=True)
+        ref = 2.0 * _numerator(5, 0.8, 0.3)
         assert abs(got - ref) <= 1e-9 * (1.0 + abs(ref))
 
     def test_star_at_one_is_denominator(self):
-        got = total_star_weight(7, 0.5, 1.0)
+        got = _total(7, 0.5, 1.0, wrap=True)
         ref = 2.0 * 0.5**7 * chebyshev_T(7, 2.0)
         assert abs(got - ref) <= 1e-9 * (1.0 + abs(ref))
 
     def test_line_gamma_one_is_chebyshev(self):
         for x in np.linspace(-1.0, 1.0, 9):
-            got = total_line_weight(3, 1.0, float(x))
+            got = _total(3, 1.0, float(x), wrap=False)
             assert abs(got - chebyshev_T(3, float(x))) <= 1e-12
 
     def test_line_matches_numerator(self):
-        got = total_line_weight(5, 0.9, 0.25)
-        ref = n_poly_value(5, 0.9, 0.25)
+        got = _total(5, 0.9, 0.25, wrap=False)
+        ref = _numerator(5, 0.9, 0.25)
         assert abs(got - ref) <= 1e-9 * (1.0 + abs(ref))
 
     def test_line_odd_in_x(self):
-        assert abs(total_line_weight(3, 0.7, 0.0)) <= 1e-12
+        assert abs(_total(3, 0.7, 0.0, wrap=False)) <= 1e-12
 
     def test_totals_match_per_tiling_sum(self):
         # only the summation order differs from adding tiling_weight one tiling at a time,
@@ -272,20 +280,18 @@ class TestWeightTotals:
             for gamma in (0.3, 0.7, 1.0):
                 w = math.sqrt(1.0 - gamma * gamma)
                 for x in (-0.6, 0.2, 0.5, 1.0):
-                    for total, wrap in ((total_star_weight, True), (total_line_weight, False)):
+                    for wrap in (True, False):
                         model = WeightModel(variant="A", w=w, x=x, modified=not wrap)
                         weights = [tiling_weight(t, model) for t in enumerate_tilings(L, wrap=wrap)]
                         scale = sum(abs(v) for v in weights)
-                        assert abs(total(L, gamma, x) - sum(weights)) <= 1e-12 * scale
+                        assert abs(_total(L, gamma, x, wrap) - sum(weights)) <= 1e-12 * scale
 
     def test_grid_against_numerator(self):
-        for L in (3, 5, 7, 9, 11):
-            for gamma in (0.3, 0.7, 1.0):
-                for x in (0.2, 0.5, 1.0):
-                    ref = n_poly_value(L, gamma, x)
-                    scale = 1.0 + abs(ref)
-                    assert abs(total_star_weight(L, gamma, x) - 2.0 * ref) / scale <= 1e-9
-                    assert abs(total_line_weight(L, gamma, x) - ref) / scale <= 1e-9
+        # the star = 2 N_L and line = N_L grid over L = 3..11, gamma in {0.3, 0.7, 1}, x in {0.2, 0.5, 1}
+        result = verify.check_weight_totals(11)
+        assert result.L == 11
+        assert result.max_deviation <= 1e-9
+        assert result.passed
 
 
 class TestCoefficientCompare:
@@ -382,6 +388,13 @@ class TestTangentSum:
         for bad in (*malformed, [[1.0, 2.0]], np.array([2.0, 3.0])):
             with pytest.raises(ValueError):
                 tangent_sum_terms(5, bad)
+
+    def test_rejects_scalar_subsets(self):
+        # a scalar is not a sequence of entries, so list() of it cannot read it
+        with pytest.raises(ValueError, match="rectangular"):
+            tangent_sum(5, 3)
+        with pytest.raises(ValueError, match="rectangular"):
+            tangent_sum_terms(5, None)
 
     def test_batch_rows_match_single_calls(self):
         rng = np.random.default_rng(11)

@@ -210,6 +210,12 @@ class TestRecursion:
         with pytest.raises(ValueError, match="guarded to finite"):
             quasi_cheb_recursive(QuasiChebParams(0.5, 3), x)
 
+    @pytest.mark.parametrize("x", ["0.5", {0.5}, object(), 10**400], ids=["str", "set", "object", "10**400"])
+    def test_rejects_non_numeric_x(self, x):
+        # a complex cast would parse the string and raise TypeError or OverflowError on the rest
+        with pytest.raises(ValueError, match="x must be a real or complex number"):
+            quasi_cheb_recursive(QuasiChebParams(0.5, 3), x)
+
     @settings(max_examples=60, deadline=None)
     @given(
         gamma=st.floats(min_value=0.05, max_value=1.0),

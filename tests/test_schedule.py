@@ -136,7 +136,7 @@ class TestMakeSchedule:
         with pytest.raises(ValueError, match=r"w must be a real number in \(0, 1\), got '0.5'"):
             make_schedule("0.5", 3)
 
-    @pytest.mark.parametrize("l", [2.5, 2.0])
+    @pytest.mark.parametrize("l", [2.5, 2.0, None])
     def test_rejects_non_integer_l(self, l):
         with pytest.raises(ValueError, match=f"l must be an integer, got {l}"):
             make_schedule(0.3, l)

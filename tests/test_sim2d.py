@@ -235,6 +235,7 @@ class TestClosedFormProbability:
             (1.2, 0.1, 3), (math.nan, 0.1, 3), (0.5, 0.0, 3), (0.5, 0.1, 0), (0.5, 0.1, 50_000),
             (np.array([0.5, 1.2]), 0.1, 3), (np.array([-0.1, 0.5]), 0.1, 3), (np.array([0.2, math.nan]), 0.1, 3),
             (0.5, 0.3, 2.5), (0.5, 0.3, 2.0), (np.array([0.5 + 0.3j]), 0.3, 2), (0.5 + 0.3j, 0.3, 2),
+            (0.5, 0.3, None),
         ],
     )
     def test_domain(self, lam, w, l):

@@ -195,3 +195,10 @@ def test_verify_cli_exits_1_on_nan(monkeypatch, capsys, tmp_path):
 def test_non_integer_max_l_rejected(max_L):
     with pytest.raises(ValueError, match=f"max_L must be an odd integer in 3..25, got {max_L}"):
         run_verification(max_L)
+
+
+@pytest.mark.parametrize("seed", ["0.5", 0.3, np.array(0.3), True, np.array([]), None])
+def test_non_integer_seed_rejected(seed):
+    # None would draw fresh entropy, so the run would not reproduce
+    with pytest.raises(ValueError, match="seed must be an integer"):
+        run_verification(3, seed)
