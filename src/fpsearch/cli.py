@@ -5,7 +5,15 @@ lambda grid), ``simulate`` (single lambda), ``statevector`` (full-register
 run), ``verify`` (invariant suite).  Output goes to stdout or ``--output``;
 identical flags produce byte-identical output.  Exit codes: 0 success,
 1 verification failure (a failed ``verify`` check, or a ``sweep`` or
-``simulate`` sim-vs-closed gap above 1e-9), 2 usage error, 3 I/O error.
+``simulate`` sim-vs-closed gap above 1e-9), 2 usage error, 3 I/O error (a
+failed ``sweep`` child process included).
+
+A CSV ``sweep`` of at least ``SPLIT_MIN_POINTS`` points, on a process allowed
+to run on two or more CPUs, computes and formats the second half of its grid
+in one forked child while the process does the first half.  Both halves are
+cut on blocks of ``sim2d``'s blocked driver, so the output is byte-identical
+to the serial run's, which is what a single CPU, a smaller grid or
+``--format json`` take.
 
 ``main(argv)`` is also the in-process entry point: it returns the exit code
 instead of exiting, and ``perfbench``'s worker loop, the test suite and
@@ -28,15 +36,20 @@ and turns every ``ValueError`` into ``error: <msg>`` with exit code 2.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import functools
+import itertools
 import json
 import math
+import mmap
+import os
 import sys
+import tempfile
 
 import numpy as np
 
 from .schedule import SearchParams, make_schedule, schedule_for
-from .sim2d import run_search, success_probability_closed
+from .sim2d import _BLOCK, run_search, success_probability_closed
 from .statevector import MarkedSet, check_qubits, run_full_search
 from .verify import run_verification
 
@@ -47,20 +60,34 @@ EXIT_IO = 3
 
 SIM_CLOSED_TOL = 1e-9
 CSV_BLOCK_ROWS = 4096
+CSV_HEADER = "lambda,p_sim,p_closed,abs_err\n"
+# a CSV sweep of at least this many points runs in two processes when two CPUs
+# are allowed.  Measured in process (min of 21, 2 cores, numpy 2.4.6), split
+# over serial time: 1.40 at 1000 points, 0.99 at 2500, 0.95 at 3000 and 0.69 at
+# 10000 for l = 12; 1.05 at 2000, 0.99 at 3000 and 0.73 at 10000 for l = 265
+SPLIT_MIN_POINTS = 3000
+# the parent copies the child's CSV text in reads of this many characters
+SPILL_CHUNK = 65536
 
 
 def _fmt(value: float) -> str:
     return format(value, ".17g")
 
 
-def _emit(text, path) -> None:
-    # text is one string or an iterable of string chunks, written in order
-    chunks = (text,) if isinstance(text, str) else text
+@contextlib.contextmanager
+def _opened(path):
+    # stdout, or the --output file opened for writing
     if path is None:
-        sys.stdout.writelines(chunks)
+        yield sys.stdout
     else:
         with open(path, "w", encoding="utf-8") as fh:
-            fh.writelines(chunks)
+            yield fh
+
+
+def _emit(text, path) -> None:
+    # text is one string or an iterable of string chunks, written in order
+    with _opened(path) as out:
+        out.writelines((text,) if isinstance(text, str) else text)
 
 
 def _json_text(payload) -> str:
@@ -89,15 +116,18 @@ def cmd_angles(args) -> int:
     return EXIT_OK
 
 
-def _sweep_rows(args, sched) -> np.ndarray:
-    # one row (lambda, p_sim, p_closed, abs_err) per grid point
+def _sweep_grid(args) -> np.ndarray:
     if not 0.0 <= args.lambda_min < args.lambda_max <= 1.0:
         raise ValueError(
             f"need 0 <= lambda-min < lambda-max <= 1, got [{args.lambda_min}, {args.lambda_max}]"
         )
     if not 2 <= args.points <= 1_000_000:
         raise ValueError(f"points must be in 2..1000000, got {args.points}")
-    lams = np.linspace(args.lambda_min, args.lambda_max, args.points)
+    return np.linspace(args.lambda_min, args.lambda_max, args.points)
+
+
+def _sweep_rows(lams, sched) -> np.ndarray:
+    # one row (lambda, p_sim, p_closed, abs_err) per grid point
     closed = success_probability_closed(lams, sched.w, sched.l)
     sim = np.abs(run_search(np.sqrt(np.maximum(0.0, 1.0 - lams * lams)), sched).t_amp)
     return np.column_stack((lams, sim, closed, np.abs(sim - closed)))
@@ -106,20 +136,83 @@ def _sweep_rows(args, sched) -> np.ndarray:
 def _csv_chunks(table):
     # one %-format call per block of CSV_BLOCK_ROWS rows, so that a large grid never
     # holds all of its text at once; "%.17g" prints a float exactly as _fmt does
-    yield "lambda,p_sim,p_closed,abs_err\n"
     for start in range(0, len(table), CSV_BLOCK_ROWS):
         block = table[start:start + CSV_BLOCK_ROWS]
         yield ("%.17g,%.17g,%.17g,%.17g\n" * len(block)) % tuple(block.ravel().tolist())
 
 
+def _two_cpus() -> bool:
+    # whether this process may run on two or more CPUs
+    return hasattr(os, "sched_getaffinity") and len(os.sched_getaffinity(0)) >= 2
+
+
+def _sweep_child(lams, skip: int, sched, rows_out, spill) -> None:
+    # runs in the forked child and never returns: it fills rows_out with the rows of
+    # lams[skip:] and spill with their CSV text, or spill with its error.  os._exit
+    # skips the atexit handlers and the flush of the buffers copied from the parent
+    try:
+        rows = _sweep_rows(lams, sched)[skip:]
+        rows_out[:] = rows
+        spill.writelines(_csv_chunks(rows))
+        spill.flush()
+        os._exit(0)
+    except BaseException as exc:
+        spill.seek(0)
+        spill.truncate()
+        spill.write(f"{type(exc).__name__}: {exc}")
+        spill.flush()
+    finally:
+        os._exit(1)
+
+
+def _split_sweep(lams, sched, out) -> np.ndarray:
+    # rows [:mid] here and [mid:] in one forked child, the CSV written to out in
+    # order.  Each side sweeps a slice cut on _BLOCK boundaries and keeps its own
+    # rows, so every point sees the block it sees in a serial run and gets the
+    # same bits; each side repeats at most one block.  Both slices hold over
+    # _GROUPED_MAX points, so neither takes the grouped driver.  The child's rows
+    # come back through shared memory, its text through an unnamed file
+    n = len(lams)
+    mid = n // 2
+    lo, hi = mid // _BLOCK * _BLOCK, -(-mid // _BLOCK) * _BLOCK
+    table = np.frombuffer(mmap.mmap(-1, 4 * lams.nbytes), dtype=float).reshape(n, 4)
+    with tempfile.TemporaryFile("w+", encoding="ascii", newline="") as spill:
+        pid = os.fork()
+        if pid == 0:
+            _sweep_child(lams[lo:], mid - lo, sched, table[mid:], spill)
+        try:
+            table[:mid] = _sweep_rows(lams[:hi], sched)[:mid]
+            out.write(CSV_HEADER)
+            out.writelines(_csv_chunks(table[:mid]))
+        except BaseException:
+            import signal  # only here, so that the CLI's start-up does not load it
+
+            os.kill(pid, signal.SIGKILL)
+            raise
+        finally:
+            status = os.waitpid(pid, 0)[1]
+        spill.seek(0)
+        code = os.waitstatus_to_exitcode(status)
+        if code:
+            # a negative code is the signal that ended the child
+            raise ChildProcessError(f"sweep child process exited with code {code}: {spill.read(SPILL_CHUNK)}")
+        out.writelines(iter(lambda: spill.read(SPILL_CHUNK), ""))
+    return table
+
+
 def cmd_sweep(args) -> int:
     sched = _schedule_from_args(args)
-    table = _sweep_rows(args, sched)
-    if args.format == "csv":
-        _emit(_csv_chunks(table), args.output)
-    else:
+    lams = _sweep_grid(args)
+    if args.format == "json":
+        table = _sweep_rows(lams, sched)
         keys = ("lambda", "p_sim", "p_closed", "abs_err")
         _emit(_json_text([dict(zip(keys, row)) for row in table.tolist()]), args.output)
+    elif len(lams) < SPLIT_MIN_POINTS or not _two_cpus():
+        table = _sweep_rows(lams, sched)
+        _emit(itertools.chain((CSV_HEADER,), _csv_chunks(table)), args.output)
+    else:
+        with _opened(args.output) as out:
+            table = _split_sweep(lams, sched, out)
     guaranteed = table[table[:, 0] >= sched.w, 1]
     if guaranteed.size:
         print(f"min P over lambda >= w={_fmt(sched.w)}: {_fmt(guaranteed.min())}", file=sys.stderr)
@@ -156,6 +249,8 @@ def _parse_marked(args, dim: int):
             raise ValueError(f"--marked must be a comma-separated integer list: {exc}") from exc
     if not 1 <= args.marked_count < dim:
         raise ValueError(f"--marked-count must be in 1..{dim - 1}, got {args.marked_count}")
+    if args.seed is not None and args.seed < 0:
+        raise ValueError(f"--seed must be a non-negative integer, got {args.seed}")
     rng = np.random.default_rng(0 if args.seed is None else args.seed)
     return tuple(int(i) for i in rng.choice(dim, size=args.marked_count, replace=False))
 

@@ -2,11 +2,14 @@
 
 import json
 import math
+import os
 
 import pytest
 
-from fpsearch.cli import EXIT_IO, EXIT_OK, EXIT_USAGE, EXIT_VERIFY_FAILED, build_parser, main
+from fpsearch import cli
+from fpsearch.cli import EXIT_IO, EXIT_OK, EXIT_USAGE, EXIT_VERIFY_FAILED, SPLIT_MIN_POINTS, build_parser, main
 from fpsearch.combinat import MAX_TANGENT_L
+from fpsearch.sim2d import _BLOCK
 
 
 def run_cli(capsys, *argv):
@@ -163,6 +166,87 @@ class TestSweep:
         assert first == second
 
 
+class TestSplitSweep:
+    # a large CSV sweep runs in a forked child and this process when two CPUs
+    # are allowed; the affinity is patched both ways, so each case runs both paths
+    SCHEDULES = {12: ("--w", "0.08", "--delta", "0.3"), 265: ("--w", "0.01", "--delta", "0.01")}
+
+    @staticmethod
+    def sweep(monkeypatch, capsys, cpus, argv, path=None):
+        forks = []
+        real_fork = os.fork
+
+        def counted_fork():
+            forks.append(os.getpid())
+            return real_fork()
+
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)))
+        monkeypatch.setattr(os, "fork", counted_fork)
+        output = () if path is None else ("--output", str(path))
+        code, out, err = run_cli(capsys, "sweep", *argv, *output)
+        if path is not None:
+            assert out == ""
+            out = path.read_bytes().decode("ascii")
+            path.unlink()
+        return (code, out, err), len(forks)
+
+    @pytest.mark.parametrize("to_file", [True, False], ids=["output", "stdout"])
+    @pytest.mark.parametrize("l", [12, 265])
+    @pytest.mark.parametrize(
+        "points", [SPLIT_MIN_POINTS, 2 * _BLOCK - 1, 2 * _BLOCK, 2 * _BLOCK + 1, 3 * _BLOCK + 17, 10_000]
+    )
+    def test_split_matches_serial(self, monkeypatch, capsys, tmp_path, points, l, to_file):
+        argv = (*self.SCHEDULES[l], "--lambda-min", "0.001", "--points", str(points))
+        path = tmp_path / "sweep.csv" if to_file else None
+        serial, serial_forks = self.sweep(monkeypatch, capsys, 1, argv, path)
+        split, split_forks = self.sweep(monkeypatch, capsys, 2, argv, path)
+        assert (serial_forks, split_forks) == (0, 1)
+        assert serial[0] == EXIT_OK
+        assert serial[1].count("\n") == points + 1
+        assert split == serial
+
+    def test_split_matches_serial_on_a_failing_grid(self, monkeypatch, capsys, tmp_path):
+        # from lambda = 0 at l = 265 some gaps exceed 1e-9, so both paths exit 1
+        argv = (*self.SCHEDULES[265], "--points", "50000")
+        serial, _ = self.sweep(monkeypatch, capsys, 1, argv, tmp_path / "sweep.csv")
+        split, split_forks = self.sweep(monkeypatch, capsys, 2, argv, tmp_path / "sweep.csv")
+        assert split_forks == 1
+        assert serial[0] == EXIT_VERIFY_FAILED
+        assert "FAILED sim_vs_closed: " in serial[2] and " of 50000 abs_err above 1e-09" in serial[2]
+        assert split == serial
+
+    def test_small_grids_and_json_stay_serial(self, monkeypatch, capsys):
+        schedule = self.SCHEDULES[12]
+        small = self.sweep(monkeypatch, capsys, 2, (*schedule, "--points", str(SPLIT_MIN_POINTS - 1)))
+        as_json = self.sweep(monkeypatch, capsys, 2, (*schedule, "--points", "10000", "--format", "json"))
+        assert (small[0][0], as_json[0][0]) == (EXIT_OK, EXIT_OK)
+        assert (small[1], as_json[1]) == (0, 0)
+
+    @pytest.mark.parametrize("side", ["child", "parent"])
+    def test_failure_leaves_no_process(self, monkeypatch, capsys, tmp_path, side):
+        parent = os.getpid()
+        sweep_rows = cli._sweep_rows
+
+        def failing_rows(lams, sched):
+            if (os.getpid() == parent) == (side == "parent"):
+                raise RuntimeError(f"{side} slice refused")
+            return sweep_rows(lams, sched)
+
+        monkeypatch.setattr(cli, "_sweep_rows", failing_rows)
+        argv = ("--w", "0.08", "--delta", "0.3", "--points", "10000", "--output", str(tmp_path / "sweep.csv"))
+        if side == "child":
+            (code, _, err), forks = self.sweep(monkeypatch, capsys, 2, argv)
+            assert forks == 1
+            assert code == EXIT_IO
+            assert "sweep child process exited with code 1: RuntimeError: child slice refused" in err
+        else:
+            # an error the CLI does not map to an exit code reaches the caller, after the child is gone
+            with pytest.raises(RuntimeError, match="parent slice refused"):
+                self.sweep(monkeypatch, capsys, 2, argv)
+        with pytest.raises(ChildProcessError):
+            os.waitpid(-1, os.WNOHANG)
+
+
 class TestSimulate:
     def test_single_point(self, capsys):
         code, out, _ = run_cli(
@@ -272,6 +356,14 @@ class TestStatevector:
         assert out == ""
         assert "--seed applies only to --marked-count" in err
 
+    def test_negative_seed_named(self, capsys):
+        code, out, err = run_cli(
+            capsys, "statevector", "--qubits", "8", "--marked-count", "2", "--seed", "-1", "--w", "0.08", "--delta", "0.3"
+        )
+        assert code == EXIT_USAGE
+        assert out == ""
+        assert err == "error: --seed must be a non-negative integer, got -1\n"
+
     def test_qubit_cap_named(self, capsys):
         code, _, err = run_cli(
             capsys, "statevector", "--qubits", "13", "--marked", "0", "--w", "0.5", "--delta", "0.5"
@@ -317,6 +409,12 @@ class TestVerify:
         code, _, err = run_cli(capsys, "verify", "--max-L", "27")
         assert code == EXIT_USAGE
         assert f"3..{MAX_TANGENT_L}" in err
+
+    def test_negative_seed_named(self, capsys):
+        code, out, err = run_cli(capsys, "verify", "--max-L", "3", "--seed", "-1")
+        assert code == EXIT_USAGE
+        assert out == ""
+        assert err == "error: seed must be a non-negative integer, got -1\n"
 
     def test_failure_exit_path(self, capsys, monkeypatch):
         import fpsearch.cli as cli_module

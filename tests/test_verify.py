@@ -202,3 +202,10 @@ def test_non_integer_seed_rejected(seed):
     # None would draw fresh entropy, so the run would not reproduce
     with pytest.raises(ValueError, match="seed must be an integer"):
         run_verification(3, seed)
+
+
+@pytest.mark.parametrize("seed", [-1, -(2**70), np.int64(-5)])
+def test_negative_seed_named(seed):
+    # numpy's own message, "expected non-negative integer", names neither the seed nor its value
+    with pytest.raises(ValueError, match=f"seed must be a non-negative integer, got {int(seed)}$"):
+        run_verification(3, seed)
