@@ -8,12 +8,16 @@ identical flags produce byte-identical output.  Exit codes: 0 success,
 ``simulate`` sim-vs-closed gap above 1e-9), 2 usage error, 3 I/O error (a
 failed ``sweep`` child process included).
 
-A CSV ``sweep`` of at least ``SPLIT_MIN_POINTS`` points, on a process allowed
-to run on two or more CPUs, computes and formats the second half of its grid
-in one forked child while the process does the first half.  Both halves are
-cut on blocks of ``sim2d``'s blocked driver, so the output is byte-identical
-to the serial run's, which is what a single CPU, a smaller grid or
-``--format json`` take.
+``sweep`` writes CSV and JSON through one writer: a header, the rows formatted
+in blocks of ``BLOCK_ROWS`` and joined by a separator, and a footer, per
+``SWEEP_FORMATS``.  JSON floats are printed as ``repr``, as ``json.dumps``
+prints them.  A sweep of at least ``SPLIT_MIN_POINTS`` points, on a process
+allowed to run on two or more CPUs, simulates and formats the second half of
+its grid in one forked child while the process does the first half.  Both
+halves are cut on blocks of ``sim2d``'s blocked driver, and the closed form
+runs over the whole grid before the fork, so the output and stderr are
+byte-identical to the serial run's, which is what a single CPU or a smaller
+grid take.
 
 ``main(argv)`` is also the in-process entry point: it returns the exit code
 instead of exiting, and ``perfbench``'s worker loop, the test suite and
@@ -38,7 +42,6 @@ from __future__ import annotations
 import argparse
 import contextlib
 import functools
-import itertools
 import json
 import math
 import mmap
@@ -59,14 +62,24 @@ EXIT_USAGE = 2
 EXIT_IO = 3
 
 SIM_CLOSED_TOL = 1e-9
-CSV_BLOCK_ROWS = 4096
-CSV_HEADER = "lambda,p_sim,p_closed,abs_err\n"
-# a CSV sweep of at least this many points runs in two processes when two CPUs
+# a sweep formats its rows in blocks of this many, so that a large grid never
+# holds all of its text at once
+BLOCK_ROWS = 4096
+# per sweep format: header, row template, row separator and footer.  A JSON row
+# is what json.dumps(indent=2) prints for the row's dict: "%r" is repr, which
+# json prints for a finite float, and every column is finite (the closed form
+# takes a cosh overflow to 0).  "%.17g" prints a float exactly as _fmt does
+SWEEP_FORMATS = {
+    "csv": ("lambda,p_sim,p_closed,abs_err\n", "%.17g,%.17g,%.17g,%.17g", "\n", "\n"),
+    "json": ("[\n", '  {\n    "lambda": %r,\n    "p_sim": %r,\n    "p_closed": %r,\n    "abs_err": %r\n  }',
+             ",\n", "\n]\n"),
+}
+# a sweep of at least this many points runs in two processes when two CPUs
 # are allowed.  Measured in process (min of 21, 2 cores, numpy 2.4.6), split
 # over serial time: 1.40 at 1000 points, 0.99 at 2500, 0.95 at 3000 and 0.69 at
 # 10000 for l = 12; 1.05 at 2000, 0.99 at 3000 and 0.73 at 10000 for l = 265
 SPLIT_MIN_POINTS = 3000
-# the parent copies the child's CSV text in reads of this many characters
+# the parent copies the child's text in reads of this many characters
 SPILL_CHUNK = 65536
 
 
@@ -84,14 +97,9 @@ def _opened(path):
             yield fh
 
 
-def _emit(text, path) -> None:
-    # text is one string or an iterable of string chunks, written in order
+def _emit_json(payload, path) -> None:
     with _opened(path) as out:
-        out.writelines((text,) if isinstance(text, str) else text)
-
-
-def _json_text(payload) -> str:
-    return json.dumps(payload, indent=2) + "\n"
+        out.write(json.dumps(payload, indent=2) + "\n")
 
 
 def _schedule_from_args(args):
@@ -112,7 +120,7 @@ def _gap_exit(errors) -> int:
 
 def cmd_angles(args) -> int:
     sched = _schedule_from_args(args)
-    _emit(_json_text(sched.to_dict()), args.output)
+    _emit_json(sched.to_dict(), args.output)
     return EXIT_OK
 
 
@@ -126,19 +134,24 @@ def _sweep_grid(args) -> np.ndarray:
     return np.linspace(args.lambda_min, args.lambda_max, args.points)
 
 
-def _sweep_rows(lams, sched) -> np.ndarray:
-    # one row (lambda, p_sim, p_closed, abs_err) per grid point
-    closed = success_probability_closed(lams, sched.w, sched.l)
-    sim = np.abs(run_search(np.sqrt(np.maximum(0.0, 1.0 - lams * lams)), sched).t_amp)
-    return np.column_stack((lams, sim, closed, np.abs(sim - closed)))
+def _fill_sim(table, lams, start: int, stop: int, sched) -> None:
+    # p_sim and abs_err of rows [start:stop) of the sweep table, whose lambda and
+    # p_closed columns are filled.  The kernel runs on the grid cut on _BLOCK
+    # boundaries around the rows, so every point sees the block it sees in the
+    # whole grid and gets the same bits
+    lo, hi = start // _BLOCK * _BLOCK, -(-stop // _BLOCK) * _BLOCK
+    x = np.sqrt(np.maximum(0.0, 1.0 - np.square(lams[lo:hi])))
+    sim = np.abs(run_search(x, sched).t_amp)[start - lo:stop - lo]
+    table[start:stop, 1], table[start:stop, 3] = sim, np.abs(sim - table[start:stop, 2])
 
 
-def _csv_chunks(table):
-    # one %-format call per block of CSV_BLOCK_ROWS rows, so that a large grid never
-    # holds all of its text at once; "%.17g" prints a float exactly as _fmt does
-    for start in range(0, len(table), CSV_BLOCK_ROWS):
-        block = table[start:start + CSV_BLOCK_ROWS]
-        yield ("%.17g,%.17g,%.17g,%.17g\n" * len(block)) % tuple(block.ravel().tolist())
+def _row_chunks(table, row: str, sep: str):
+    # the rows joined by sep, one %-format call per block of BLOCK_ROWS rows; every
+    # block after the first starts with sep
+    for start in range(0, len(table), BLOCK_ROWS):
+        block = table[start:start + BLOCK_ROWS]
+        lead = sep if start else ""
+        yield (lead + sep.join((row,) * len(block))) % tuple(block.ravel().tolist())
 
 
 def _two_cpus() -> bool:
@@ -146,14 +159,13 @@ def _two_cpus() -> bool:
     return hasattr(os, "sched_getaffinity") and len(os.sched_getaffinity(0)) >= 2
 
 
-def _sweep_child(lams, skip: int, sched, rows_out, spill) -> None:
-    # runs in the forked child and never returns: it fills rows_out with the rows of
-    # lams[skip:] and spill with their CSV text, or spill with its error.  os._exit
+def _sweep_child(table, lams, mid: int, sched, row: str, sep: str, spill) -> None:
+    # runs in the forked child and never returns: it fills rows [mid:] of the
+    # shared table and spill with their text, or spill with its error.  os._exit
     # skips the atexit handlers and the flush of the buffers copied from the parent
     try:
-        rows = _sweep_rows(lams, sched)[skip:]
-        rows_out[:] = rows
-        spill.writelines(_csv_chunks(rows))
+        _fill_sim(table, lams, mid, len(lams), sched)
+        spill.writelines(_row_chunks(table[mid:], row, sep))
         spill.flush()
         os._exit(0)
     except BaseException as exc:
@@ -165,25 +177,20 @@ def _sweep_child(lams, skip: int, sched, rows_out, spill) -> None:
         os._exit(1)
 
 
-def _split_sweep(lams, sched, out) -> np.ndarray:
-    # rows [:mid] here and [mid:] in one forked child, the CSV written to out in
-    # order.  Each side sweeps a slice cut on _BLOCK boundaries and keeps its own
-    # rows, so every point sees the block it sees in a serial run and gets the
-    # same bits; each side repeats at most one block.  Both slices hold over
-    # _GROUPED_MAX points, so neither takes the grouped driver.  The child's rows
-    # come back through shared memory, its text through an unnamed file
-    n = len(lams)
-    mid = n // 2
-    lo, hi = mid // _BLOCK * _BLOCK, -(-mid // _BLOCK) * _BLOCK
-    table = np.frombuffer(mmap.mmap(-1, 4 * lams.nbytes), dtype=float).reshape(n, 4)
+def _split_sweep(table, lams, sched, out, row: str, sep: str) -> None:
+    # rows [:mid] here and [mid:] in one forked child, written to out in order and
+    # joined by sep.  table is shared memory; each side fills the simulated
+    # columns of its rows (_fill_sim repeats at most one block per side).  Both
+    # slices hold over _GROUPED_MAX points, so neither takes the grouped driver.
+    # The child's text comes back through an unnamed file
+    mid = len(lams) // 2
     with tempfile.TemporaryFile("w+", encoding="ascii", newline="") as spill:
         pid = os.fork()
         if pid == 0:
-            _sweep_child(lams[lo:], mid - lo, sched, table[mid:], spill)
+            _sweep_child(table, lams, mid, sched, row, sep, spill)
         try:
-            table[:mid] = _sweep_rows(lams[:hi], sched)[:mid]
-            out.write(CSV_HEADER)
-            out.writelines(_csv_chunks(table[:mid]))
+            _fill_sim(table, lams, 0, mid, sched)
+            out.writelines(_row_chunks(table[:mid], row, sep))
         except BaseException:
             import signal  # only here, so that the CLI's start-up does not load it
 
@@ -196,23 +203,28 @@ def _split_sweep(lams, sched, out) -> np.ndarray:
         if code:
             # a negative code is the signal that ended the child
             raise ChildProcessError(f"sweep child process exited with code {code}: {spill.read(SPILL_CHUNK)}")
+        out.write(sep)
         out.writelines(iter(lambda: spill.read(SPILL_CHUNK), ""))
-    return table
 
 
 def cmd_sweep(args) -> int:
     sched = _schedule_from_args(args)
     lams = _sweep_grid(args)
-    if args.format == "json":
-        table = _sweep_rows(lams, sched)
-        keys = ("lambda", "p_sim", "p_closed", "abs_err")
-        _emit(_json_text([dict(zip(keys, row)) for row in table.tolist()]), args.output)
-    elif len(lams) < SPLIT_MIN_POINTS or not _two_cpus():
-        table = _sweep_rows(lams, sched)
-        _emit(itertools.chain((CSV_HEADER,), _csv_chunks(table)), args.output)
-    else:
-        with _opened(args.output) as out:
-            table = _split_sweep(lams, sched, out)
+    header, row, sep, footer = SWEEP_FORMATS[args.format]
+    split = len(lams) >= SPLIT_MIN_POINTS and _two_cpus()
+    # columns lambda, p_sim, p_closed, abs_err; a split sweep shares it with its child
+    table = np.frombuffer(mmap.mmap(-1, 4 * lams.nbytes)).reshape(-1, 4) if split else np.empty((len(lams), 4))
+    # the closed form runs here on the whole grid, before any fork, so that its
+    # warnings are printed once, as in a serial run
+    table[:, 0], table[:, 2] = lams, success_probability_closed(lams, sched.w, sched.l)
+    with _opened(args.output) as out:
+        out.write(header)
+        if split:
+            _split_sweep(table, lams, sched, out, row, sep)
+        else:
+            _fill_sim(table, lams, 0, len(lams), sched)
+            out.writelines(_row_chunks(table, row, sep))
+        out.write(footer)
     guaranteed = table[table[:, 0] >= sched.w, 1]
     if guaranteed.size:
         print(f"min P over lambda >= w={_fmt(sched.w)}: {_fmt(guaranteed.min())}", file=sys.stderr)
@@ -235,7 +247,7 @@ def cmd_simulate(args) -> int:
         "p_closed": p_closed,
         "abs_err": abs(p_sim - p_closed),
     }
-    _emit(_json_text(payload), args.output)
+    _emit_json(payload, args.output)
     return _gap_exit([payload["abs_err"]])
 
 
@@ -268,13 +280,13 @@ def cmd_statevector(args) -> int:
         "phase_oracle_calls": result.phase_oracle_calls,
         "standard_oracle_calls": result.standard_oracle_calls,
     }
-    _emit(_json_text(payload), args.output)
+    _emit_json(payload, args.output)
     return EXIT_OK
 
 
 def cmd_verify(args) -> int:
     results = run_verification(max_L=args.max_L, seed=args.seed)
-    _emit(_json_text([r.to_dict() for r in results]), args.output)
+    _emit_json([r.to_dict() for r in results], args.output)
     failed = [r for r in results if not r.passed]
     for r in failed:
         print(f"FAILED {r.check_name}: max deviation {r.max_deviation:g}", file=sys.stderr)

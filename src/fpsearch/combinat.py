@@ -32,7 +32,6 @@ import numpy as np
 from .complexpoly import check_int, check_odd, check_real, tan_table
 
 MAX_ENUM_L = 15
-MAX_WEIGHT_L = 13
 MAX_COMPARE_L = 11
 MAX_TANGENT_L = 25
 MAX_VIETA_L = 15

@@ -24,6 +24,8 @@ from . import combinat, complexpoly, schedule, sim2d, statevector
 
 TANGENT_TOL = 1e-6
 SUBSETS_PER_CASE = 200
+# the largest degree check_weight_totals enumerates tilings at
+MAX_WEIGHT_L = 13
 
 
 @dataclass(frozen=True)
@@ -277,7 +279,7 @@ def _masks(bits: np.ndarray) -> np.ndarray:
 
 def check_weight_totals(max_L: int) -> CheckResult:
     devs = []
-    degrees = _degrees(3, combinat.MAX_WEIGHT_L, max_L)
+    degrees = _degrees(3, MAX_WEIGHT_L, max_L)
     for L in degrees:
         # the star tilings total 2 N_L(x), the line tilings with modified squares N_L(x)
         parts = [(combinat.enumerate_tilings(L, wrap), 2.0 if wrap else 1.0, not wrap) for wrap in (True, False)]

@@ -3,6 +3,8 @@
 import json
 import math
 import os
+import subprocess
+import sys
 
 import pytest
 
@@ -159,6 +161,31 @@ class TestSweep:
         assert all(row["abs_err"] == abs(row["p_sim"] - row["p_closed"]) for row in rows)
         assert lines[1:] == [",".join(format(v, ".17g") for v in row.values()) for row in rows]
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ("--w", "0.2", "--delta", "0.4", "--points", "4"),
+            ("--w", "0.01", "--delta", "0.01", "--points", "41"),
+            # at least SPLIT_MIN_POINTS, so this and the next grid run split on two CPUs
+            ("--w", "0.08", "--delta", "0.3", "--lambda-min", "0.001", "--points", "10000"),
+            # the closed form overflows cosh (a known defect) and returns 0 where run_search gives 1
+            pytest.param(
+                ("--w", "0.5", "--l", "2000", "--points", "4000"),
+                marks=pytest.mark.filterwarnings(
+                    "ignore:overflow encountered in cosh:RuntimeWarning",
+                    "ignore:invalid value encountered in divide:RuntimeWarning",
+                ),
+                id="cosh-overflow",
+            ),
+        ],
+    )
+    def test_json_is_json_dumps_of_the_rows(self, capsys, argv):
+        # the reference is json.dumps of the CSV rows, whose 17 digits give back every float
+        code, csv_out, csv_err = run_cli(capsys, "sweep", *argv)
+        header, *lines = csv_out.splitlines()
+        rows = [dict(zip(header.split(","), map(float, line.split(",")))) for line in lines]
+        assert run_cli(capsys, "sweep", *argv, "--format", "json") == (code, json.dumps(rows, indent=2) + "\n", csv_err)
+
     def test_deterministic_output(self, capsys):
         args = ("sweep", "--w", "0.1", "--delta", "0.2", "--points", "50")
         _, first, _ = run_cli(capsys, *args)
@@ -167,7 +194,7 @@ class TestSweep:
 
 
 class TestSplitSweep:
-    # a large CSV sweep runs in a forked child and this process when two CPUs
+    # a large sweep, CSV or JSON, runs in a forked child and this process when two CPUs
     # are allowed; the affinity is patched both ways, so each case runs both paths
     SCHEDULES = {12: ("--w", "0.08", "--delta", "0.3"), 265: ("--w", "0.01", "--delta", "0.01")}
 
@@ -190,20 +217,32 @@ class TestSplitSweep:
             path.unlink()
         return (code, out, err), len(forks)
 
-    @pytest.mark.parametrize("to_file", [True, False], ids=["output", "stdout"])
-    @pytest.mark.parametrize("l", [12, 265])
-    @pytest.mark.parametrize(
-        "points", [SPLIT_MIN_POINTS, 2 * _BLOCK - 1, 2 * _BLOCK, 2 * _BLOCK + 1, 3 * _BLOCK + 17, 10_000]
-    )
-    def test_split_matches_serial(self, monkeypatch, capsys, tmp_path, points, l, to_file):
-        argv = (*self.SCHEDULES[l], "--lambda-min", "0.001", "--points", str(points))
-        path = tmp_path / "sweep.csv" if to_file else None
+    POINTS = [SPLIT_MIN_POINTS, 2 * _BLOCK - 1, 2 * _BLOCK, 2 * _BLOCK + 1, 3 * _BLOCK + 17, 10_000]
+
+    def compare_split(self, monkeypatch, capsys, tmp_path, points, l, to_file, *fmt):
+        # the serial output, after checking that the split run gives the same bytes, stderr and exit code
+        argv = (*self.SCHEDULES[l], "--lambda-min", "0.001", "--points", str(points), *fmt)
+        path = tmp_path / "sweep.out" if to_file else None
         serial, serial_forks = self.sweep(monkeypatch, capsys, 1, argv, path)
         split, split_forks = self.sweep(monkeypatch, capsys, 2, argv, path)
         assert (serial_forks, split_forks) == (0, 1)
         assert serial[0] == EXIT_OK
-        assert serial[1].count("\n") == points + 1
         assert split == serial
+        return serial[1]
+
+    @pytest.mark.parametrize("to_file", [True, False], ids=["output", "stdout"])
+    @pytest.mark.parametrize("l", [12, 265])
+    @pytest.mark.parametrize("points", POINTS)
+    def test_split_matches_serial(self, monkeypatch, capsys, tmp_path, points, l, to_file):
+        out = self.compare_split(monkeypatch, capsys, tmp_path, points, l, to_file)
+        assert out.count("\n") == points + 1
+
+    @pytest.mark.parametrize("to_file", [True, False], ids=["output", "stdout"])
+    @pytest.mark.parametrize("l", [12, 265])
+    @pytest.mark.parametrize("points", POINTS)
+    def test_json_split_matches_serial(self, monkeypatch, capsys, tmp_path, points, l, to_file):
+        out = self.compare_split(monkeypatch, capsys, tmp_path, points, l, to_file, "--format", "json")
+        assert len(json.loads(out)) == points
 
     def test_split_matches_serial_on_a_failing_grid(self, monkeypatch, capsys, tmp_path):
         # from lambda = 0 at l = 265 some gaps exceed 1e-9, so both paths exit 1
@@ -216,23 +255,26 @@ class TestSplitSweep:
         assert split == serial
 
     def test_small_grids_and_json_stay_serial(self, monkeypatch, capsys):
+        # small grids stay serial in both formats; a large JSON grid splits as CSV does
         schedule = self.SCHEDULES[12]
-        small = self.sweep(monkeypatch, capsys, 2, (*schedule, "--points", str(SPLIT_MIN_POINTS - 1)))
-        as_json = self.sweep(monkeypatch, capsys, 2, (*schedule, "--points", "10000", "--format", "json"))
-        assert (small[0][0], as_json[0][0]) == (EXIT_OK, EXIT_OK)
-        assert (small[1], as_json[1]) == (0, 0)
+        small_grid = (*schedule, "--points", str(SPLIT_MIN_POINTS - 1))
+        small = self.sweep(monkeypatch, capsys, 2, small_grid)
+        small_json = self.sweep(monkeypatch, capsys, 2, (*small_grid, "--format", "json"))
+        as_json = self.sweep(monkeypatch, capsys, 2, (*schedule, "--points", str(SPLIT_MIN_POINTS), "--format", "json"))
+        assert (small[0][0], small_json[0][0], as_json[0][0]) == (EXIT_OK, EXIT_OK, EXIT_OK)
+        assert (small[1], small_json[1], as_json[1]) == (0, 0, 1)
 
     @pytest.mark.parametrize("side", ["child", "parent"])
     def test_failure_leaves_no_process(self, monkeypatch, capsys, tmp_path, side):
         parent = os.getpid()
-        sweep_rows = cli._sweep_rows
+        sweep_rows = cli.run_search
 
         def failing_rows(lams, sched):
             if (os.getpid() == parent) == (side == "parent"):
                 raise RuntimeError(f"{side} slice refused")
             return sweep_rows(lams, sched)
 
-        monkeypatch.setattr(cli, "_sweep_rows", failing_rows)
+        monkeypatch.setattr(cli, "run_search", failing_rows)
         argv = ("--w", "0.08", "--delta", "0.3", "--points", "10000", "--output", str(tmp_path / "sweep.csv"))
         if side == "child":
             (code, _, err), forks = self.sweep(monkeypatch, capsys, 2, argv)
@@ -245,6 +287,43 @@ class TestSplitSweep:
                 self.sweep(monkeypatch, capsys, 2, argv)
         with pytest.raises(ChildProcessError):
             os.waitpid(-1, os.WNOHANG)
+
+    def test_failing_child_in_a_json_sweep(self, monkeypatch, capsys, tmp_path):
+        parent = os.getpid()
+        search = cli.run_search
+
+        def failing_search(x, sched):
+            if os.getpid() != parent:
+                raise RuntimeError("child slice refused")
+            return search(x, sched)
+
+        monkeypatch.setattr(cli, "run_search", failing_search)
+        argv = (*self.SCHEDULES[12], "--points", "10000", "--format", "json", "--output", str(tmp_path / "sweep.json"))
+        (code, _, err), forks = self.sweep(monkeypatch, capsys, 2, argv)
+        assert (forks, code) == (1, EXIT_IO)
+        assert "sweep child process exited with code 1: RuntimeError: child slice refused" in err
+        with pytest.raises(ChildProcessError):
+            os.waitpid(-1, os.WNOHANG)
+
+    @pytest.mark.skipif(
+        not hasattr(os, "sched_getaffinity") or len(os.sched_getaffinity(0)) < 2, reason="needs two CPUs"
+    )
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    def test_split_warns_as_one_process(self, fmt):
+        # in a new interpreter each process prints a warning once: the closed form's
+        # cosh-overflow warnings must come from one process, as on one CPU
+        code = "from fpsearch.cli import entry_point; entry_point()"
+        argv = [sys.executable, "-c", code, "sweep", "--w", "0.5", "--l", "2000", "--points", "4000", "--format", fmt]
+        src = os.path.dirname(os.path.dirname(cli.__file__))
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))}
+        cpu = min(os.sched_getaffinity(0))
+        two, one = (
+            subprocess.run(argv, capture_output=True, text=True, env=env, preexec_fn=pin, check=False)
+            for pin in (None, lambda: os.sched_setaffinity(0, {cpu}))
+        )
+        assert one.returncode == EXIT_VERIFY_FAILED
+        assert "overflow encountered in cosh" in one.stderr
+        assert (two.returncode, two.stdout, two.stderr) == (one.returncode, one.stdout, one.stderr)
 
 
 class TestSimulate:
