@@ -8,16 +8,19 @@ identical flags produce byte-identical output.  Exit codes: 0 success,
 ``simulate`` sim-vs-closed gap above 1e-9), 2 usage error, 3 I/O error (a
 failed ``sweep`` child process included).
 
-``sweep`` writes CSV and JSON through one writer: a header, the rows formatted
-in blocks of ``BLOCK_ROWS`` and joined by a separator, and a footer, per
-``SWEEP_FORMATS``.  JSON floats are printed as ``repr``, as ``json.dumps``
-prints them.  A sweep of at least ``SPLIT_MIN_POINTS`` points, on a process
-allowed to run on two or more CPUs, simulates and formats the second half of
-its grid in one forked child while the process does the first half.  Both
-halves are cut on blocks of ``sim2d``'s blocked driver, and the closed form
-runs over the whole grid before the fork, so the output and stderr are
-byte-identical to the serial run's, which is what a single CPU or a smaller
-grid take.
+``sweep`` writes CSV and JSON through one writer: a header, the rows joined by
+a separator, and a footer, per ``SWEEP_FORMATS``.  JSON floats are printed as
+``repr``, as ``json.dumps`` prints them.  The closed form runs first, over the
+whole grid, one ``_BLOCK`` of lambda at a time into one column.  Then the
+sweep streams the grid one ``_BLOCK`` at a time: it simulates the block, formats
+its rows and keeps two running values, the count of sim-vs-closed gaps and the
+least amplitude over lambda >= w; no table of the whole grid is held.  A sweep
+of at least ``SPLIT_MIN_POINTS`` points, on a process allowed to run on two or
+more CPUs, streams the second half of its grid in one forked child while the
+process does the first half.  The simulator runs on the grid's own blocks on
+both sides, and the closed form runs before the fork, so the output and
+stderr are byte-identical to the serial run's, which is what a single CPU or a
+smaller grid take.
 
 ``main(argv)`` is also the in-process entry point: it returns the exit code
 instead of exiting, and ``perfbench``'s worker loop, the test suite and
@@ -52,7 +55,7 @@ import tempfile
 import numpy as np
 
 from .schedule import SearchParams, make_schedule, schedule_for
-from .sim2d import _BLOCK, run_search, success_probability_closed
+from .sim2d import _BLOCK, _GROUPED_MAX, run_search, success_probability_closed
 from .statevector import MarkedSet, check_qubits, run_full_search
 from .verify import run_verification
 
@@ -62,9 +65,6 @@ EXIT_USAGE = 2
 EXIT_IO = 3
 
 SIM_CLOSED_TOL = 1e-9
-# a sweep formats its rows in blocks of this many, so that a large grid never
-# holds all of its text at once
-BLOCK_ROWS = 4096
 # per sweep format: header, row template, row separator and footer.  A JSON row
 # is what json.dumps(indent=2) prints for the row's dict: "%r" is repr, which
 # json prints for a finite float, and every column is finite (the closed form
@@ -108,13 +108,10 @@ def _schedule_from_args(args):
     return make_schedule(args.w, args.l)
 
 
-def _gap_exit(errors) -> int:
-    errors = np.asarray(errors)
-    # written as "not <=" so that a NaN gap fails too
-    bad = np.count_nonzero(~(errors <= SIM_CLOSED_TOL))
+def _gap_exit(bad: int, total: int) -> int:
     if not bad:
         return EXIT_OK
-    print(f"FAILED sim_vs_closed: {bad} of {len(errors)} abs_err above {SIM_CLOSED_TOL:g}", file=sys.stderr)
+    print(f"FAILED sim_vs_closed: {bad} of {total} abs_err above {SIM_CLOSED_TOL:g}", file=sys.stderr)
     return EXIT_VERIFY_FAILED
 
 
@@ -134,24 +131,23 @@ def _sweep_grid(args) -> np.ndarray:
     return np.linspace(args.lambda_min, args.lambda_max, args.points)
 
 
-def _fill_sim(table, lams, start: int, stop: int, sched) -> None:
-    # p_sim and abs_err of rows [start:stop) of the sweep table, whose lambda and
-    # p_closed columns are filled.  The kernel runs on the grid cut on _BLOCK
-    # boundaries around the rows, so every point sees the block it sees in the
-    # whole grid and gets the same bits
-    lo, hi = start // _BLOCK * _BLOCK, -(-stop // _BLOCK) * _BLOCK
-    x = np.sqrt(np.maximum(0.0, 1.0 - np.square(lams[lo:hi])))
-    sim = np.abs(run_search(x, sched).t_amp)[start - lo:stop - lo]
-    table[start:stop, 1], table[start:stop, 3] = sim, np.abs(sim - table[start:stop, 2])
-
-
-def _row_chunks(table, row: str, sep: str):
-    # the rows joined by sep, one %-format call per block of BLOCK_ROWS rows; every
-    # block after the first starts with sep
-    for start in range(0, len(table), BLOCK_ROWS):
-        block = table[start:start + BLOCK_ROWS]
-        lead = sep if start else ""
-        yield (lead + sep.join((row,) * len(block))) % tuple(block.ravel().tolist())
+def _sweep_blocks(lams, closed, sched, row: str, sep: str, cuts, start: int, stop: int, acc):
+    # the text of rows [start:stop), one block per run_search call and each block
+    # after the grid's first led by sep.  run_search runs on whole pieces between
+    # cuts, so a piece that the range cuts into is simulated whole and sliced.
+    # acc holds two running values: the count of gaps above SIM_CLOSED_TOL and the
+    # least p_sim over lambda >= w.  Both are written so that a NaN counts, and
+    # survives the minimum
+    for lo, hi in zip(cuts, cuts[1:]):
+        a, b = max(lo, start), min(hi, stop)
+        if a < b:
+            x = np.sqrt(np.maximum(0.0, 1.0 - np.square(lams[lo:hi])))
+            sim = np.abs(run_search(x, sched).t_amp)[a - lo:b - lo]
+            lam, gap = lams[a:b], np.abs(sim - closed[a:b])
+            acc[0] += np.count_nonzero(~(gap <= SIM_CLOSED_TOL))
+            acc[1] = sim[lam >= sched.w].min(initial=acc[1])
+            block = np.array((lam, sim, closed[a:b], gap)).T
+            yield (sep if a else "") + sep.join((row,) * len(block)) % tuple(block.ravel().tolist())
 
 
 def _two_cpus() -> bool:
@@ -159,13 +155,12 @@ def _two_cpus() -> bool:
     return hasattr(os, "sched_getaffinity") and len(os.sched_getaffinity(0)) >= 2
 
 
-def _sweep_child(table, lams, mid: int, sched, row: str, sep: str, spill) -> None:
-    # runs in the forked child and never returns: it fills rows [mid:] of the
-    # shared table and spill with their text, or spill with its error.  os._exit
-    # skips the atexit handlers and the flush of the buffers copied from the parent
+def _sweep_child(text, spill) -> None:
+    # runs in the forked child and never returns: it fills spill with the text, or
+    # with its error.  os._exit skips the atexit handlers and the flush of the
+    # buffers copied from the parent
     try:
-        _fill_sim(table, lams, mid, len(lams), sched)
-        spill.writelines(_row_chunks(table[mid:], row, sep))
+        spill.writelines(text)
         spill.flush()
         os._exit(0)
     except BaseException as exc:
@@ -177,20 +172,17 @@ def _sweep_child(table, lams, mid: int, sched, row: str, sep: str, spill) -> Non
         os._exit(1)
 
 
-def _split_sweep(table, lams, sched, out, row: str, sep: str) -> None:
-    # rows [:mid] here and [mid:] in one forked child, written to out in order and
-    # joined by sep.  table is shared memory; each side fills the simulated
-    # columns of its rows (_fill_sim repeats at most one block per side).  Both
-    # slices hold over _GROUPED_MAX points, so neither takes the grouped driver.
-    # The child's text comes back through an unnamed file
-    mid = len(lams) // 2
+def _split_sweep(blocks, n: int, acc, out) -> None:
+    # rows [:mid] here and [mid:] in one forked child, written to out in order
+    # (the piece around mid is simulated on both sides).  The child's text comes
+    # back through an unnamed file and its running values through acc[1]
+    mid = n // 2
     with tempfile.TemporaryFile("w+", encoding="ascii", newline="") as spill:
         pid = os.fork()
         if pid == 0:
-            _sweep_child(table, lams, mid, sched, row, sep, spill)
+            _sweep_child(blocks(mid, n, acc[1]), spill)
         try:
-            _fill_sim(table, lams, 0, mid, sched)
-            out.writelines(_row_chunks(table[:mid], row, sep))
+            out.writelines(blocks(0, mid, acc[0]))
         except BaseException:
             import signal  # only here, so that the CLI's start-up does not load it
 
@@ -203,34 +195,43 @@ def _split_sweep(table, lams, sched, out, row: str, sep: str) -> None:
         if code:
             # a negative code is the signal that ended the child
             raise ChildProcessError(f"sweep child process exited with code {code}: {spill.read(SPILL_CHUNK)}")
-        out.write(sep)
         out.writelines(iter(lambda: spill.read(SPILL_CHUNK), ""))
 
 
 def cmd_sweep(args) -> int:
     sched = _schedule_from_args(args)
     lams = _sweep_grid(args)
+    n = len(lams)
     header, row, sep, footer = SWEEP_FORMATS[args.format]
-    split = len(lams) >= SPLIT_MIN_POINTS and _two_cpus()
-    # columns lambda, p_sim, p_closed, abs_err; a split sweep shares it with its child
-    table = np.frombuffer(mmap.mmap(-1, 4 * lams.nbytes)).reshape(-1, 4) if split else np.empty((len(lams), 4))
-    # the closed form runs here on the whole grid, before any fork, so that its
-    # warnings are printed once, as in a serial run
-    table[:, 0], table[:, 2] = lams, success_probability_closed(lams, sched.w, sched.l)
+    # the grid is cut every _BLOCK points, as run_search's blocked driver cuts it,
+    # and a tail of at most _GROUPED_MAX points joins the block before it: so each
+    # run_search call takes the driver and the blocks that the whole grid would
+    # take, and every point keeps its bits
+    cuts = [*range(0, max(n - _GROUPED_MAX, 1), _BLOCK), n]
+    closed = np.empty(n)
+    # the closed form runs here, before any fork, so that its warnings are
+    # printed once, as in a serial run
+    for lo, hi in zip(cuts, cuts[1:]):
+        closed[lo:hi] = success_probability_closed(lams[lo:hi], sched.w, sched.l)
+    blocks = functools.partial(_sweep_blocks, lams, closed, sched, row, sep, cuts)
+    split = n >= SPLIT_MIN_POINTS and _two_cpus()
+    # the running values of this process and of a split sweep's child, one row
+    # each; a split sweep keeps them in memory that its child shares
+    acc = np.frombuffer(mmap.mmap(-1, 32)).reshape(2, 2) if split else np.zeros((2, 2))
+    acc[:, 1] = np.inf
     with _opened(args.output) as out:
         out.write(header)
         if split:
-            _split_sweep(table, lams, sched, out, row, sep)
+            _split_sweep(blocks, n, acc, out)
         else:
-            _fill_sim(table, lams, 0, len(lams), sched)
-            out.writelines(_row_chunks(table, row, sep))
+            out.writelines(blocks(0, n, acc[0]))
         out.write(footer)
-    guaranteed = table[table[:, 0] >= sched.w, 1]
-    if guaranteed.size:
-        print(f"min P over lambda >= w={_fmt(sched.w)}: {_fmt(guaranteed.min())}", file=sys.stderr)
+    # lams is ascending, so some lambda >= w exactly when the last one is
+    if lams[-1] >= sched.w:
+        print(f"min P over lambda >= w={_fmt(sched.w)}: {_fmt(acc[:, 1].min())}", file=sys.stderr)
     else:
         print(f"no grid points with lambda >= w={_fmt(sched.w)}", file=sys.stderr)
-    return _gap_exit(table[:, 3])
+    return _gap_exit(int(acc[:, 0].sum()), n)
 
 
 def cmd_simulate(args) -> int:
@@ -248,7 +249,8 @@ def cmd_simulate(args) -> int:
         "abs_err": abs(p_sim - p_closed),
     }
     _emit_json(payload, args.output)
-    return _gap_exit([payload["abs_err"]])
+    # written as "not <=" so that a NaN gap fails too
+    return _gap_exit(int(not payload["abs_err"] <= SIM_CLOSED_TOL), 1)
 
 
 def _parse_marked(args, dim: int):

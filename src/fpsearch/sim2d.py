@@ -81,9 +81,9 @@ class TwoDimState:
 # a point's bits also depend on its block's length, as numpy's complex loops
 # round some entries differently at other lengths (4096- and 16384-point blocks
 # differ by up to 8.1e-15 in t_amp over 10^5 points at w = 0.01, l = 265).
-# cli's two-process sweep relies on these blocks: each process sweeps a slice
-# cut on multiples of _BLOCK, so that every point keeps the block it has in
-# the whole grid
+# cli's sweep relies on these blocks: it calls run_search once per _BLOCK of its
+# grid, a tail of at most _GROUPED_MAX points joined to the block before, so that
+# every point keeps the block and driver it has in one call over the whole grid
 _BLOCK = 4096
 # Arrays of at most _GROUPED_MAX points take the grouped driver when the
 # schedule has at least _GROUPED_MIN_L iterations; all else takes the blocked

@@ -6,12 +6,14 @@ import os
 import subprocess
 import sys
 
+import numpy as np
 import pytest
 
 from fpsearch import cli
 from fpsearch.cli import EXIT_IO, EXIT_OK, EXIT_USAGE, EXIT_VERIFY_FAILED, SPLIT_MIN_POINTS, build_parser, main
 from fpsearch.combinat import MAX_TANGENT_L
-from fpsearch.sim2d import _BLOCK
+from fpsearch.schedule import SearchParams, schedule_for
+from fpsearch.sim2d import _BLOCK, _GROUPED_MAX, TwoDimState, run_search, success_probability_closed
 
 
 def run_cli(capsys, *argv):
@@ -217,6 +219,18 @@ class TestSplitSweep:
             path.unlink()
         return (code, out, err), len(forks)
 
+    # the CLI in a new interpreter, and a wrapper interpreter that runs a command and
+    # prints its peak RSS in kB (Linux's ru_maxrss unit); as the wrapper waits for no
+    # other child, no earlier process can raise the figure
+    CLI = (sys.executable, "-c", "from fpsearch.cli import entry_point; entry_point()")
+    PEAK_RSS = "import resource, subprocess, sys; subprocess.run(sys.argv[1:], check=True); " \
+        "print(resource.getrusage(resource.RUSAGE_CHILDREN).ru_maxrss)"
+
+    @staticmethod
+    def cli_env():
+        src = os.path.dirname(os.path.dirname(cli.__file__))
+        return {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))}
+
     POINTS = [SPLIT_MIN_POINTS, 2 * _BLOCK - 1, 2 * _BLOCK, 2 * _BLOCK + 1, 3 * _BLOCK + 17, 10_000]
 
     def compare_split(self, monkeypatch, capsys, tmp_path, points, l, to_file, *fmt):
@@ -252,6 +266,53 @@ class TestSplitSweep:
         assert split_forks == 1
         assert serial[0] == EXIT_VERIFY_FAILED
         assert "FAILED sim_vs_closed: " in serial[2] and " of 50000 abs_err above 1e-09" in serial[2]
+        assert split == serial
+
+    @pytest.mark.parametrize("cpus", [1, 2])
+    @pytest.mark.parametrize(
+        "points", [_BLOCK + _GROUPED_MAX, _BLOCK + _GROUPED_MAX + 1, 2 * _BLOCK + 1, 2 * _BLOCK + _GROUPED_MAX]
+    )
+    def test_blocks_keep_the_whole_grid_bits(self, monkeypatch, capsys, points, cpus):
+        # the sweep calls the library block by block; every column must still hold
+        # the bits of one call over the whole grid, on either path
+        argv = (*self.SCHEDULES[265], "--lambda-min", "0.001", "--points", str(points))
+        (code, out, _), _ = self.sweep(monkeypatch, capsys, cpus, argv)
+        lams, p_sim, p_closed, abs_err = np.array([[float(v) for v in line.split(",")] for line in out.splitlines()[1:]]).T
+        sched = schedule_for(SearchParams(w=0.01, delta=0.01))
+        grid = np.linspace(0.001, 1.0, points)
+        sim = np.abs(run_search(np.sqrt(np.maximum(0.0, 1.0 - np.square(grid))), sched).t_amp)
+        closed = success_probability_closed(grid, sched.w, sched.l)
+        assert code == EXIT_OK
+        assert lams.tobytes() == grid.tobytes()
+        assert p_sim.tobytes() == sim.tobytes()
+        assert p_closed.tobytes() == closed.tobytes()
+        assert abs_err.tobytes() == np.abs(sim - closed).tobytes()
+
+    def test_child_running_values_reach_the_parent(self, monkeypatch, capsys):
+        # a NaN and a 1e-6 gap in the block that holds lambda = 1, which the child
+        # sweeps on two CPUs: the minimum and the gap count must come out as on one
+        parent = os.getpid()
+        search = cli.run_search
+        faulted = []
+
+        def faulty_search(x, sched):
+            state = search(x, sched)
+            if x[-1] != 0.0:
+                return state
+            faulted.append(os.getpid())
+            t = state.t_amp.copy()
+            t[-2:] = t[-2] * (1.0 + 1e-6), np.nan
+            return TwoDimState(r_amp=state.r_amp, t_amp=t)
+
+        monkeypatch.setattr(cli, "run_search", faulty_search)
+        argv = (*self.SCHEDULES[265], "--lambda-min", "0.001", "--points", "10000")
+        serial, _ = self.sweep(monkeypatch, capsys, 1, argv)
+        assert faulted == [parent]
+        split, split_forks = self.sweep(monkeypatch, capsys, 2, argv)
+        assert (split_forks, faulted) == (1, [parent])
+        assert serial[0] == EXIT_VERIFY_FAILED
+        assert "min P over lambda >= w=0.01: nan\n" in serial[2]
+        assert "FAILED sim_vs_closed: 2 of 10000 abs_err above 1e-09\n" in serial[2]
         assert split == serial
 
     def test_small_grids_and_json_stay_serial(self, monkeypatch, capsys):
@@ -312,18 +373,34 @@ class TestSplitSweep:
     def test_split_warns_as_one_process(self, fmt):
         # in a new interpreter each process prints a warning once: the closed form's
         # cosh-overflow warnings must come from one process, as on one CPU
-        code = "from fpsearch.cli import entry_point; entry_point()"
-        argv = [sys.executable, "-c", code, "sweep", "--w", "0.5", "--l", "2000", "--points", "4000", "--format", fmt]
-        src = os.path.dirname(os.path.dirname(cli.__file__))
-        env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))}
+        argv = [*self.CLI, "sweep", "--w", "0.5", "--l", "2000", "--points", "4000", "--format", fmt]
         cpu = min(os.sched_getaffinity(0))
         two, one = (
-            subprocess.run(argv, capture_output=True, text=True, env=env, preexec_fn=pin, check=False)
+            subprocess.run(argv, capture_output=True, text=True, env=self.cli_env(), preexec_fn=pin, check=False)
             for pin in (None, lambda: os.sched_setaffinity(0, {cpu}))
         )
         assert one.returncode == EXIT_VERIFY_FAILED
         assert "overflow encountered in cosh" in one.stderr
         assert (two.returncode, two.stdout, two.stderr) == (one.returncode, one.stdout, one.stderr)
+
+    @pytest.mark.skipif(
+        not sys.platform.startswith("linux") or not hasattr(os, "sched_setaffinity"), reason="needs Linux"
+    )
+    def test_memory_stays_bounded(self):
+        # a sweep holds its grid, its closed-form column and one block of work at a
+        # time, so 498,000 more points must cost little more peak RSS than those two
+        # columns (8 MB together)
+        cpu = min(os.sched_getaffinity(0))
+
+        def peak_kb(points):
+            argv = [*self.CLI, "sweep", "--w", "0.01", "--delta", "0.01", "--lambda-min", "0.001",
+                    "--points", str(points), "--output", os.devnull]
+            done = subprocess.run([sys.executable, "-c", self.PEAK_RSS, *argv], capture_output=True, text=True,
+                                  env=self.cli_env(), preexec_fn=lambda: os.sched_setaffinity(0, {cpu}), check=True)
+            return int(done.stdout)
+
+        small, large = peak_kb(2000), peak_kb(500_000)
+        assert large - small <= 12 * 1024, f"peak RSS {small} kB at 2,000 points, {large} kB at 500,000"
 
 
 class TestSimulate:
