@@ -35,10 +35,14 @@ One step function, ``_iterate``, applies these reflections; three drivers feed i
 - the scalar driver, for a scalar x, on Python complex numbers;
 - the grouped driver, for an array of at most ``_GROUPED_MAX`` points and a
   schedule of at least ``_GROUPED_MIN_L`` iterations.  There numpy's per-call
-  cost outweighs the arithmetic, so it splits the iterations into about
-  sqrt(l) groups, finds every group's 2x2 transfer matrix in one pass of wider
-  arrays, and applies the matrices in order: at l = 265, 249 numpy calls on
-  wider arrays instead of 2385;
+  cost outweighs the arithmetic, so it splits the iterations into g, about
+  sqrt(l), groups, finds the first column of every group's 2x2 transfer matrix
+  in one pass over (g, N) lanes, and applies the matrices in order: at
+  l = 265, 249 numpy calls, 153 of them on (16, N) arrays, instead of 2385.
+  Every step is unitary, so a group's second column follows from its first
+  and from the product D of the steps' determinants e^{i (alpha_k - beta_k)}.
+  That rests on the unitarity of the operator expression above, not on the
+  Chebyshev closed form, so the simulation stays an independent check of it;
 - the blocked driver, for every other array, iterating the state itself in
   blocks of ``_BLOCK`` points.
 
@@ -47,8 +51,14 @@ also depend on the length of the array it comes in, as numpy picks other
 inner loops for short arrays: at (w, l) = (0.08, 12), over 300 lambda in
 [0.001, 1], one-element arrays differ from the same x inside the 300-point
 grid at 195 points, by up to 1.6e-16, and scalar calls at all 300, by up to
-2.1e-15.  The grouped driver regroups the products, so it differs from the
-blocked driver by up to 5e-15 at l = 265 and 7.6e-14 at l = 49999 over 40 points.
+2.1e-15.  The grouped driver regroups the products and rebuilds half of them,
+so over 40 x in [0, 1] it differs from the blocked driver by up to 7.5e-15 at
+l = 265, 2.8e-14 at l = 2000 and 8.9e-14 at l = 49999.  Near x = 1 the gap
+grows: the rounded (x, s) misses unit length by about 1e-16, the blocked
+driver's amplitudes follow that drift over all l steps and the rebuilt column
+does not.  At l = 49999 and lambda = 0.001 the drivers differ by 9.0e-13; a
+40-digit product with the exact s is 1.4e-13 from the grouped result there and
+1.0e-12 from the blocked one.
 Large grids (the deep sweep) and short schedules (verify's arrays, l <= 7, and
 the README sweep, l = 12) stay on the blocked driver.
 """
@@ -87,9 +97,11 @@ class TwoDimState:
 _BLOCK = 4096
 # Arrays of at most _GROUPED_MAX points take the grouped driver when the
 # schedule has at least _GROUPED_MIN_L iterations; all else takes the blocked
-# one.  Measured on 2 cores (numpy 2.4.6): at l = 265 the drivers tie near
-# 200 points, at l = 2000 to 10000 the grouped one still wins by 10-20% at 128;
-# below 100 points they tie at l = 16-24
+# one.  Measured on 2 cores (numpy 2.4.6), the grouped driver takes, of the
+# blocked one's time, 0.29 at 40 points, 0.43 at 128 and 0.86 at 512 at l = 265
+# (it loses from 640 on), and 0.34-0.59 at 128 points at l = 2000 to 10000;
+# below 100 points they tie at l = 12-16.  The limit stays at 128 although the
+# crossover lies higher now: cli's sweep cuts its tail on it
 _GROUPED_MAX = 128
 _GROUPED_MIN_L = 32
 
@@ -120,23 +132,23 @@ def _iterate(r, t, x, s, phases):
 def _grouped(x, s, alpha_phase, c):
     # the l iterations in g = isqrt(l) consecutive groups, the last one padded
     # with identity steps (a = 1, c = 0 leave r and t exact).  One _iterate over
-    # (g, 2N) lanes, started at the basis columns (1, 0) in the first N lanes and
-    # (0, 1) in the rest, gives each group's 2x2 transfer matrix per point; the
+    # (g, N) lanes, started at (1, 0), gives the first column (u, v) of each
+    # group's 2x2 transfer matrix per point.  Every step is unitary with
+    # determinant a_k (1 + c_k), so the matrix is [[u, -D v*], [v, D u*]], D the
+    # product of those determinants over the group (1 on padding steps); the
     # matrices then act on the initial state (x, s), group 1 first
     n, l = x.size, alpha_phase.size
     g = max(1, math.isqrt(l))
     pad = -l % g
     a = np.concatenate((alpha_phase, np.ones(pad))).reshape(g, -1, 1)
     c = np.concatenate((c, np.zeros(pad))).reshape(g, -1, 1)
-    r = np.zeros((g, 2 * n), dtype=complex)
-    t = np.zeros((g, 2 * n), dtype=complex)
-    r[:, :n] = 1.0
-    t[:, n:] = 1.0
-    xx, ss = np.concatenate((x, x)), np.concatenate((s, s))
-    m_r, m_t = _iterate(r, t, xx, ss, zip(a.transpose(1, 0, 2), c.transpose(1, 0, 2)))
+    d = np.prod(a * (1.0 + c), axis=1)
+    u, v = _iterate(np.ones((g, n), dtype=complex), np.zeros((g, n), dtype=complex), x, s,
+                    zip(a.transpose(1, 0, 2), c.transpose(1, 0, 2)))
+    u2, v2 = -d * v.conj(), d * u.conj()
     r, t = x, s
     for j in range(g):
-        r, t = m_r[j, :n] * r + m_r[j, n:] * t, m_t[j, :n] * r + m_t[j, n:] * t
+        r, t = u[j] * r + u2[j] * t, v[j] * r + v2[j] * t
     return r, t
 
 

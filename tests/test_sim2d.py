@@ -153,6 +153,26 @@ class TestRunSearchKernel:
     def test_driver_boundary_matches_matrix_loop(self, l, points):
         self._assert_matches_matrix_loop(np.linspace(0.0, 1.0, points), make_schedule(0.05, l))
 
+    @pytest.mark.parametrize("l", [33, 50, 100])
+    def test_grouped_random_angles_match_matrix_loop(self, l):
+        # the grouped driver rebuilds each group's second column from the product D of
+        # e^{i (alpha_k - beta_k)}; the plain schedule gives D = 1 at every step and the
+        # Chebyshev one draws alpha and beta from one tangent table, so seeded random
+        # angles check D where alpha and beta are unrelated
+        rng = np.random.default_rng(l)
+        alpha, beta = rng.uniform(-math.pi, math.pi, (2, l))
+        self._assert_matches_matrix_loop(np.linspace(0.0, 1.0, 40), AngleSchedule(w=0.1, alpha=alpha, beta=beta))
+
+    @pytest.mark.parametrize("w,l", [(0.01, 265), (0.005, 2000)])
+    def test_grouped_matches_blocked(self, w, l):
+        # the same 40 x alone take the grouped driver and inside 200 points the blocked one
+        sched = make_schedule(w, l)
+        xs = np.linspace(0.0, 1.0, 40)
+        grouped = run_search(xs, sched)
+        blocked = run_search(np.concatenate((xs, np.linspace(0.0, 1.0, 160))), sched)
+        assert np.max(np.abs(grouped.r_amp - blocked.r_amp[:40])) <= 1e-13
+        assert np.max(np.abs(grouped.t_amp - blocked.t_amp[:40])) <= 1e-13
+
     def test_blocks_bit_identical(self):
         sched = make_schedule(0.08, 12)
         xs = np.linspace(0.0, 1.0, 10_000)
