@@ -17,10 +17,11 @@ its rows and keeps two running values, the count of sim-vs-closed gaps and the
 least amplitude over lambda >= w; no table of the whole grid is held.  A sweep
 of at least ``SPLIT_MIN_POINTS`` points, on a process allowed to run on two or
 more CPUs, streams the second half of its grid in one forked child while the
-process does the first half.  The simulator runs on the grid's own blocks on
-both sides, and the closed form runs before the fork, so the output and
-stderr are byte-identical to the serial run's, which is what a single CPU or a
-smaller grid take.
+process does the first half.  The simulator runs on the grid's own ``_BLOCK``
+slices on both sides, each of which ``run_search`` gives the bits of one call
+over the whole grid, and the closed form runs before the fork, so the output
+and stderr are byte-identical to the serial run's, which is what a single CPU
+or a smaller grid take.
 
 ``main(argv)`` is also the in-process entry point: it returns the exit code
 instead of exiting, and ``perfbench``'s worker loop, the test suite and
@@ -55,7 +56,7 @@ import tempfile
 import numpy as np
 
 from .schedule import SearchParams, make_schedule, schedule_for
-from .sim2d import _BLOCK, _GROUPED_MAX, run_search, success_probability_closed
+from .sim2d import _BLOCK, run_search, success_probability_closed
 from .statevector import MarkedSet, check_qubits, run_full_search
 from .verify import run_verification
 
@@ -131,23 +132,23 @@ def _sweep_grid(args) -> np.ndarray:
     return np.linspace(args.lambda_min, args.lambda_max, args.points)
 
 
-def _sweep_blocks(lams, closed, sched, row: str, sep: str, cuts, start: int, stop: int, acc):
+def _sweep_blocks(lams, closed, sched, row: str, sep: str, start: int, stop: int, acc):
     # the text of rows [start:stop), one block per run_search call and each block
-    # after the grid's first led by sep.  run_search runs on whole pieces between
-    # cuts, so a piece that the range cuts into is simulated whole and sliced.
-    # acc holds two running values: the count of gaps above SIM_CLOSED_TOL and the
-    # least p_sim over lambda >= w.  Both are written so that a NaN counts, and
-    # survives the minimum
-    for lo, hi in zip(cuts, cuts[1:]):
-        a, b = max(lo, start), min(hi, stop)
-        if a < b:
-            x = np.sqrt(np.maximum(0.0, 1.0 - np.square(lams[lo:hi])))
-            sim = np.abs(run_search(x, sched).t_amp)[a - lo:b - lo]
-            lam, gap = lams[a:b], np.abs(sim - closed[a:b])
-            acc[0] += np.count_nonzero(~(gap <= SIM_CLOSED_TOL))
-            acc[1] = sim[lam >= sched.w].min(initial=acc[1])
-            block = np.array((lam, sim, closed[a:b], gap)).T
-            yield (sep if a else "") + sep.join((row,) * len(block)) % tuple(block.ravel().tolist())
+    # after the grid's first led by sep.  run_search gives every _BLOCK-aligned
+    # slice of the grid the bits of one call over the whole grid, so the grid is
+    # simulated one such slice at a time, and a slice that the range cuts into is
+    # simulated whole and sliced.  acc holds two running values: the count of gaps
+    # above SIM_CLOSED_TOL and the least p_sim over lambda >= w.  Both are written
+    # so that a NaN counts, and survives the minimum
+    for lo in range(start - start % _BLOCK, stop, _BLOCK):
+        a, b = max(lo, start), min(lo + _BLOCK, stop)
+        x = np.sqrt(np.maximum(0.0, 1.0 - np.square(lams[lo:lo + _BLOCK])))
+        sim = np.abs(run_search(x, sched).t_amp)[a - lo:b - lo]
+        lam, gap = lams[a:b], np.abs(sim - closed[a:b])
+        acc[0] += np.count_nonzero(~(gap <= SIM_CLOSED_TOL))
+        acc[1] = sim[lam >= sched.w].min(initial=acc[1])
+        block = np.array((lam, sim, closed[a:b], gap)).T
+        yield (sep if a else "") + sep.join((row,) * len(block)) % tuple(block.ravel().tolist())
 
 
 def _two_cpus() -> bool:
@@ -174,7 +175,7 @@ def _sweep_child(text, spill) -> None:
 
 def _split_sweep(blocks, n: int, acc, out) -> None:
     # rows [:mid] here and [mid:] in one forked child, written to out in order
-    # (the piece around mid is simulated on both sides).  The child's text comes
+    # (the block around mid is simulated on both sides).  The child's text comes
     # back through an unnamed file and its running values through acc[1]
     mid = n // 2
     with tempfile.TemporaryFile("w+", encoding="ascii", newline="") as spill:
@@ -203,17 +204,12 @@ def cmd_sweep(args) -> int:
     lams = _sweep_grid(args)
     n = len(lams)
     header, row, sep, footer = SWEEP_FORMATS[args.format]
-    # the grid is cut every _BLOCK points, as run_search's blocked driver cuts it,
-    # and a tail of at most _GROUPED_MAX points joins the block before it: so each
-    # run_search call takes the driver and the blocks that the whole grid would
-    # take, and every point keeps its bits
-    cuts = [*range(0, max(n - _GROUPED_MAX, 1), _BLOCK), n]
     closed = np.empty(n)
     # the closed form runs here, before any fork, so that its warnings are
     # printed once, as in a serial run
-    for lo, hi in zip(cuts, cuts[1:]):
-        closed[lo:hi] = success_probability_closed(lams[lo:hi], sched.w, sched.l)
-    blocks = functools.partial(_sweep_blocks, lams, closed, sched, row, sep, cuts)
+    for lo in range(0, n, _BLOCK):
+        closed[lo:lo + _BLOCK] = success_probability_closed(lams[lo:lo + _BLOCK], sched.w, sched.l)
+    blocks = functools.partial(_sweep_blocks, lams, closed, sched, row, sep)
     split = n >= SPLIT_MIN_POINTS and _two_cpus()
     # the running values of this process and of a split sweep's child, one row
     # each; a split sweep keeps them in memory that its child shares

@@ -30,10 +30,12 @@ so after the marked phase e^{i alpha} on t each iteration is one reflection
 about psi, four vector updates.  The global factors e^{i beta_k} commute with
 everything, so their product multiplies both amplitudes once, at the end.
 
-One step function, ``_iterate``, applies these reflections; three drivers feed it:
+One step function, ``_iterate``, applies these reflections; three drivers feed it.
+A scalar x takes the scalar driver; an array is cut into slices of ``_BLOCK``
+points, and each slice picks its own driver:
 
 - the scalar driver, for a scalar x, on Python complex numbers;
-- the grouped driver, for an array of at most ``_GROUPED_MAX`` points and a
+- the grouped driver, for a slice of at most ``_GROUPED_MAX`` points under a
   schedule of at least ``_GROUPED_MIN_L`` iterations.  There numpy's per-call
   cost outweighs the arithmetic, so it splits the iterations into g, about
   sqrt(l), groups, finds the first column of every group's 2x2 transfer matrix
@@ -43,24 +45,26 @@ One step function, ``_iterate``, applies these reflections; three drivers feed i
   and from the product D of the steps' determinants e^{i (alpha_k - beta_k)}.
   That rests on the unitarity of the operator expression above, not on the
   Chebyshev closed form, so the simulation stays an independent check of it;
-- the blocked driver, for every other array, iterating the state itself in
-  blocks of ``_BLOCK`` points.
+- the blocked driver, for every other slice, iterating the state itself.
 
-The same array, or the same scalar, gives the same bits.  A point's last bits
-also depend on the length of the array it comes in, as numpy picks other
-inner loops for short arrays: at (w, l) = (0.08, 12), over 300 lambda in
-[0.001, 1], one-element arrays differ from the same x inside the 300-point
-grid at 195 points, by up to 1.6e-16, and scalar calls at all 300, by up to
-2.1e-15.  The grouped driver regroups the products and rebuilds half of them,
-so over 40 x in [0, 1] it differs from the blocked driver by up to 7.5e-15 at
-l = 265, 2.8e-14 at l = 2000 and 8.9e-14 at l = 49999.  Near x = 1 the gap
-grows: the rounded (x, s) misses unit length by about 1e-16, the blocked
-driver's amplitudes follow that drift over all l steps and the rebuilt column
-does not.  At l = 49999 and lambda = 0.001 the drivers differ by 9.0e-13; a
+The same array, or the same scalar, gives the same bits, and so does every
+``_BLOCK``-aligned slice: ``run_search(x)[b]`` is bit-identical to
+``run_search(x[b])`` for b = slice(k * _BLOCK, (k + 1) * _BLOCK).  Other
+slices need not be, as numpy picks other inner loops for short arrays: at
+(w, l) = (0.08, 12), over 300 lambda in [0.001, 1], one-element arrays differ
+from the same x inside the 300-point grid at 195 points, by up to 1.6e-16, and
+scalar calls at all 300, by up to 2.1e-15.  The grouped driver regroups the
+products and rebuilds half of them, so over 40 x in [0, 1] it differs from the
+blocked driver by up to 7.5e-15 at l = 265, 2.8e-14 at l = 2000 and 8.9e-14 at
+l = 49999.  Near x = 1 the gap grows: the rounded (x, s) misses unit length by
+about 1e-16, the blocked driver's amplitudes follow that drift over all l steps
+and the rebuilt column does not.  At l = 49999 and lambda = 0.001 the drivers differ by 9.0e-13; a
 40-digit product with the exact s is 1.4e-13 from the grouped result there and
 1.0e-12 from the blocked one.
 Large grids (the deep sweep) and short schedules (verify's arrays, l <= 7, and
-the README sweep, l = 12) stay on the blocked driver.
+the README sweep, l = 12) stay on the blocked driver, except that a last slice
+of at most ``_GROUPED_MAX`` points of a long grid at l >= ``_GROUPED_MIN_L``
+takes the grouped one.
 """
 
 from __future__ import annotations
@@ -86,22 +90,21 @@ class TwoDimState:
         return np.hypot(np.abs(self.r_amp), np.abs(self.t_amp))
 
 
-# The blocked driver slices an array of x into blocks of this many points, so
-# that its working vectors stay in cache.  The same array gives the same bits;
-# a point's bits also depend on its block's length, as numpy's complex loops
-# round some entries differently at other lengths (4096- and 16384-point blocks
-# differ by up to 8.1e-15 in t_amp over 10^5 points at w = 0.01, l = 265).
+# run_search slices an array of x into blocks of this many points, so that the
+# blocked driver's working vectors stay in cache, and picks each block's driver
+# on its own.  A point's bits depend on its block's length, as numpy's complex
+# loops round some entries differently at other lengths (4096- and 16384-point
+# blocks differ by up to 8.1e-15 in t_amp over 10^5 points at w = 0.01, l = 265).
 # cli's sweep relies on these blocks: it calls run_search once per _BLOCK of its
-# grid, a tail of at most _GROUPED_MAX points joined to the block before, so that
-# every point keeps the block and driver it has in one call over the whole grid
+# grid, so that every point keeps the bits it has in one call over the whole grid
 _BLOCK = 4096
-# Arrays of at most _GROUPED_MAX points take the grouped driver when the
+# Blocks of at most _GROUPED_MAX points take the grouped driver when the
 # schedule has at least _GROUPED_MIN_L iterations; all else takes the blocked
 # one.  Measured on 2 cores (numpy 2.4.6), the grouped driver takes, of the
 # blocked one's time, 0.29 at 40 points, 0.43 at 128 and 0.86 at 512 at l = 265
 # (it loses from 640 on), and 0.34-0.59 at 128 points at l = 2000 to 10000;
-# below 100 points they tie at l = 12-16.  The limit stays at 128 although the
-# crossover lies higher now: cli's sweep cuts its tail on it
+# below 100 points they tie at l = 12-16.  The crossover lies above 128.  No
+# other module reads the limit, so it can move without a change to cli
 _GROUPED_MAX = 128
 _GROUPED_MIN_L = 32
 
@@ -171,16 +174,15 @@ def run_search(x, schedule: AngleSchedule) -> TwoDimState:
         return TwoDimState(r_amp=glob * r, t_amp=glob * t)
     # complex copies: numpy has no real-times-complex loop and would convert x and s at every product
     xf, sf = xs.ravel(), ss.ravel()
-    if xf.size <= _GROUPED_MAX and schedule.l >= _GROUPED_MIN_L:
-        r, t = _grouped(xf.astype(complex), sf.astype(complex), alpha_phase, c)
-    else:
-        phases = list(zip(alpha_phase.tolist(), c.tolist()))
-        r = np.empty(xf.size, dtype=complex)
-        t = np.empty(xf.size, dtype=complex)
-        for lo in range(0, xf.size, _BLOCK):
-            block = slice(lo, lo + _BLOCK)
-            xb, sb = xf[block].astype(complex), sf[block].astype(complex)
-            r[block], t[block] = _iterate(xb, sb, xb, sb, phases)
+    r = np.empty(xf.size, dtype=complex)
+    t = np.empty(xf.size, dtype=complex)
+    for lo in range(0, xf.size, _BLOCK):
+        block = slice(lo, lo + _BLOCK)
+        xb, sb = xf[block].astype(complex), sf[block].astype(complex)
+        if xb.size <= _GROUPED_MAX and schedule.l >= _GROUPED_MIN_L:
+            r[block], t[block] = _grouped(xb, sb, alpha_phase, c)
+        else:
+            r[block], t[block] = _iterate(xb, sb, xb, sb, zip(alpha_phase.tolist(), c.tolist()))
     r *= glob
     t *= glob
     return TwoDimState(r_amp=r.reshape(xs.shape), t_amp=t.reshape(xs.shape))

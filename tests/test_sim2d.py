@@ -16,6 +16,7 @@ from fpsearch.complexpoly import (
 )
 from fpsearch.schedule import AngleSchedule, SearchParams, make_schedule, min_iterations
 from fpsearch.sim2d import (
+    _BLOCK,
     _GROUPED_MAX,
     _GROUPED_MIN_L,
     classic_grover_optimal,
@@ -181,6 +182,18 @@ class TestRunSearchKernel:
             piece = run_search(xs[part], sched)
             assert np.array_equal(piece.r_amp, whole.r_amp[part])
             assert np.array_equal(piece.t_amp, whole.t_amp[part])
+
+    @pytest.mark.parametrize("tail", [1, 40, _GROUPED_MAX, _GROUPED_MAX + 1])
+    @pytest.mark.parametrize("w,l", [(0.01, 265), (None, 39)], ids=["0.01-265", "plain-39"])
+    def test_block_slices_keep_the_whole_array_bits(self, w, l, tail):
+        # run_search picks its driver per _BLOCK slice, so a short last slice takes the
+        # grouped driver inside a long array as it does alone, and keeps the same bits
+        sched = plain_schedule(l) if w is None else make_schedule(w, l)
+        xs = np.linspace(0.0, 1.0, _BLOCK + tail)
+        whole, last = run_search(xs, sched), run_search(xs[_BLOCK:], sched)
+        assert np.array_equal(whole.r_amp[_BLOCK:], last.r_amp)
+        assert np.array_equal(whole.t_amp[_BLOCK:], last.t_amp)
+        self._assert_matches_matrix_loop(xs[_BLOCK:], sched)
 
     def test_result_types_and_shapes(self):
         sched = make_schedule(0.3, 4)
