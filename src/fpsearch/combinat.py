@@ -12,12 +12,14 @@ cut-open L-line) gives N_L(x) itself.  Two domino weightings matter:
 
 with t(n) = tan(n pi / L) and w = sqrt(1 - gamma^2).  Their total weights
 agree coefficientwise in w, which is what pins N_L(x) to gamma^L T_L(x/gamma).
+``tiling_weight`` weighs variant A; variant B appears only in
+``coefficient_compare``, which returns both coefficient vectors.
 A tiling is a bool row, bit d marking a domino on <d, d-1>; a rotation or the
 reflection of a whole (tilings, L) bit matrix is one column gather, and every
 weight, a value at one w or the exact coefficients in w (the domino quadratics
 multiplied out, not fitted), is one row product over the matrix.  Everything
 here is verified by brute-force enumeration at desk scale, not by re-proving
-the identities.
+the identities.  This module computes; ``verify`` judges the results.
 """
 
 from __future__ import annotations
@@ -36,16 +38,9 @@ MAX_COMPARE_L = 11
 MAX_TANGENT_L = 25
 MAX_VIETA_L = 15
 
-COEFF_TOL = 1e-8
-
 
 def _check_L(L: int, cap: int, what: str) -> int:
     return check_odd(L, 3, cap, f"{what} supports odd L in 3..{cap}")
-
-
-def _check_variant(variant: str) -> None:
-    if variant not in ("A", "B"):
-        raise ValueError(f"variant must be 'A' or 'B', got {variant!r}")
 
 
 @functools.lru_cache(maxsize=64)
@@ -54,7 +49,6 @@ def _domino_table(L: int, variant: str, w: float | None = None) -> np.ndarray:
     # q = i t(d-1) in variant A, p = -1 and q = 1 in variant B.  Row d holds
     # that weight at w, or its coefficients in w when w is None.  Cached
     # read-only, because one weight model serves every tiling of a check
-    _check_variant(variant)
     if variant == "A":
         t = tan_table(L)
         p, q = -1j * t, 1j * np.roll(t, 1)
@@ -108,25 +102,29 @@ def enumerate_tilings(L: int, wrap: bool) -> np.ndarray:
 
 @dataclass(frozen=True)
 class WeightModel:
-    """Weight assignment for tiling pieces.
+    """Variant-A weight assignment for tiling pieces.
 
     Squares weigh 2x, or x at position 0 when ``modified`` is set (the
-    cut-open line convention).  Domino weights follow the variant, with w
-    standing in for sqrt(1 - gamma^2).
+    cut-open line convention).  Dominos take the variant-A weight, with w
+    standing in for sqrt(1 - gamma^2), so w lies in [0, 1); |x| <= 10, the
+    bound of ``quasi_cheb_recursive``.  Within these bounds and L <= 15 no
+    tiling weighs more than 20^15, about 3.3e19, in magnitude.
     """
 
-    variant: str
     w: float
     x: float
     modified: bool = False
 
     def __post_init__(self):
-        _check_variant(self.variant)
         for name in ("w", "x"):
             value = getattr(self, name)
             real = check_real(value, f"{name} must be a finite real number")
             if real.ndim or not math.isfinite(real):
                 raise ValueError(f"{name} must be finite, got {value}")
+        if not 0.0 <= self.w < 1.0:
+            raise ValueError(f"w must be in [0, 1), got {self.w}")
+        if not abs(self.x) <= 10.0:
+            raise ValueError(f"x must be in [-10, 10], got {self.x}")
 
 
 def _row_weights(bits: np.ndarray, dom: np.ndarray, x: float, modified: bool) -> np.ndarray:
@@ -159,57 +157,34 @@ def tiling_weight(bits, model: WeightModel):
 
     ``bits`` is one tiling (a bool row), giving a complex, or a (tilings, L)
     bit matrix, giving a (tilings,) array: every row is weighed in one pass.
+    L is capped at ``MAX_ENUM_L``, as in ``enumerate_tilings``.
     """
     bits, L = _read_bits(bits)
-    dom = _domino_table(L, model.variant, model.w)
+    _check_L(L, MAX_ENUM_L, "tiling_weight")
+    dom = _domino_table(L, "A", model.w)
     weights = _row_weights(bits.reshape(-1, L), dom, model.x, model.modified)[:, 0]
     return weights if bits.ndim == 2 else complex(weights[0])
 
 
-@dataclass(frozen=True)
-class CoefficientReport:
-    """Outcome of comparing the two domino weightings coefficientwise in w."""
+def coefficient_compare(L: int, n_s: int) -> tuple:
+    """The variant A and B total weights of all star tilings with n_s squares, in w.
 
-    L: int
-    n_squares: int
-    n_dominoes: int
-    coeffs_a: np.ndarray
-    coeffs_b: np.ndarray
-    max_deviation: float
-    max_odd_coefficient: float
-    passes: bool
-
-
-def coefficient_compare(L: int, n_s: int) -> CoefficientReport:
-    """Compare variant A and B total weights of all star tilings with n_s squares.
-
-    Both totals are polynomials in w of degree 2 n_d (n_d = (L - n_s) / 2
-    dominos); they must agree coefficient by coefficient, and every odd power
-    of w must vanish.  The coefficients are exact expansions, not fits: each
-    tiling's domino quadratics are multiplied out, one domino column of all
-    tilings at a time, and the products are summed over the tilings.
+    Returns ``(coeffs_a, coeffs_b)``, two complex vectors of 2 n_d + 1
+    coefficients, lowest power first, n_d = (L - n_s) / 2 dominos, and
+    squares weighing 2.  The identity says they agree coefficient by
+    coefficient and every odd power of w vanishes; ``verify`` checks that.
+    The coefficients are exact expansions, not fits: each tiling's domino
+    quadratics are multiplied out, one domino column of all tilings at a
+    time, and the products are summed over the tilings.
     """
     L = _check_L(L, MAX_COMPARE_L, "coefficient comparison")
     n_s = check_odd(n_s, 1, L, "n_s must be one of {L, L-2, ..., 1}")
     n_d = (L - n_s) // 2
     bits = enumerate_tilings(L, wrap=True)
     bits = bits[bits.sum(axis=1) == n_d]
-    degree = 2 * n_d
-    coeffs_a, coeffs_b = (
-        np.sum(_row_weights(bits, _domino_table(L, variant), 1.0, False), axis=0)[: degree + 1]
+    return tuple(
+        np.sum(_row_weights(bits, _domino_table(L, variant), 1.0, False), axis=0)[: 2 * n_d + 1]
         for variant in "AB"
-    )
-    max_dev = float(np.max(np.abs(coeffs_a - coeffs_b)))
-    max_odd = float(np.max(np.abs(coeffs_a[1::2]))) if degree >= 1 else 0.0
-    return CoefficientReport(
-        L=L,
-        n_squares=n_s,
-        n_dominoes=n_d,
-        coeffs_a=coeffs_a,
-        coeffs_b=coeffs_b,
-        max_deviation=max_dev,
-        max_odd_coefficient=max_odd,
-        passes=max_dev <= COEFF_TOL and max_odd <= COEFF_TOL,
     )
 
 
@@ -368,20 +343,8 @@ def star_line_partition(L: int) -> dict:
     Returns the three bit matrices {f(A), B, g(B)}: line tilings whose
     position 0 carries a square, line tilings with the domino on <1, 0>, and
     the reflections of the latter (exactly the wrap tilings).  Their union
-    must reproduce the star tilings exactly once each.
+    reproduces the star tilings exactly once each, which ``verify`` checks.
     """
     line = enumerate_tilings(L, wrap=False)
     on_one = line[:, 1]
     return {"square_at_zero": line[~on_one], "line_domino": line[on_one], "wrap_domino": reflect(line[on_one])}
-
-
-def star_line_bijection_holds(L: int) -> bool:
-    """Exact equality f(A) | B | g(B) == all star tilings, each exactly once.
-
-    The star masks are distinct and sorted, so one comparison with the sorted
-    masks of the three parts covers both disjointness and cover.
-    """
-    star = enumerate_tilings(L, wrap=True)
-    place = 1 << np.arange(L)
-    union = np.concatenate(list(star_line_partition(L).values()))
-    return np.array_equal(np.sort(union @ place), star @ place)

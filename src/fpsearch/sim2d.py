@@ -85,10 +85,6 @@ class TwoDimState:
     r_amp: complex | np.ndarray
     t_amp: complex | np.ndarray
 
-    def norm(self):
-        """Euclidean norm, elementwise when the amplitudes are arrays."""
-        return np.hypot(np.abs(self.r_amp), np.abs(self.t_amp))
-
 
 # run_search slices an array of x into blocks of this many points, so that the
 # blocked driver's working vectors stay in cache, and picks each block's driver

@@ -1,6 +1,7 @@
 """Unit tests for the tiling enumeration and tangent-identity oracles."""
 
 import math
+import re
 from itertools import combinations
 
 import numpy as np
@@ -11,7 +12,7 @@ from numpy.polynomial import polynomial as npoly
 
 from fpsearch import combinat, verify
 from fpsearch.combinat import (
-    COEFF_TOL,
+    MAX_ENUM_L,
     MAX_TANGENT_L,
     MAX_VIETA_L,
     WeightModel,
@@ -21,7 +22,6 @@ from fpsearch.combinat import (
     enumerate_tilings,
     reflect,
     rotation_orbit,
-    star_line_bijection_holds,
     star_line_partition,
     tangent_prefix_terms,
     tangent_sum,
@@ -32,6 +32,7 @@ from fpsearch.combinat import (
     vieta_terms_by_size,
 )
 from fpsearch.complexpoly import QuasiChebParams, chebyshev_T, n_poly_coeffs, tan_table
+from fpsearch.verify import COEFF_TOL
 
 LUCAS = {3: 4, 5: 11, 7: 29, 9: 76, 11: 199, 13: 521, 15: 1364}
 
@@ -68,7 +69,7 @@ class TestTiling:
             np.zeros((2, 2, 5), dtype=bool),
             [[True, False, False], [False]],
         )
-        model = WeightModel(variant="A", w=0.5, x=1.0)
+        model = WeightModel(w=0.5, x=1.0)
         for bits in bad:
             with pytest.raises(ValueError):
                 tiling_weight(bits, model)
@@ -147,7 +148,7 @@ class TestEnumeration:
 
 class TestTilingWeight:
     def test_all_squares(self):
-        model = WeightModel(variant="A", w=0.6, x=0.7)
+        model = WeightModel(w=0.6, x=0.7)
         assert tiling_weight(_row(5), model) == pytest.approx((2.0 * 0.7) ** 5)
 
     def test_two_domino_instance(self):
@@ -157,17 +158,11 @@ class TestTilingWeight:
         expected = (
             2.0 * x * (1.0 - 1j * t[2]) * (1.0 + 1j * t[1]) * (1.0 - 1j * t[0]) * (1.0 + 1j * t[4])
         )
-        got = tiling_weight(_row(5, {0, 2}), WeightModel(variant="A", w=w, x=x))
+        got = tiling_weight(_row(5, {0, 2}), WeightModel(w=w, x=x))
         assert abs(got - expected) <= 1e-14
 
-    def test_single_domino_variant_b(self):
-        for L in (5, 9):
-            w, x = 0.4, 1.1
-            got = tiling_weight(_row(L, {3}), WeightModel(variant="B", w=w, x=x))
-            assert got == pytest.approx((2.0 * x) ** (L - 2) * -(1.0 - w * w))
-
     def test_modified_square_weight(self):
-        model = WeightModel(variant="A", w=0.0, x=0.5, modified=True)
+        model = WeightModel(w=0.0, x=0.5, modified=True)
         # position 0 contributes x, the others 2x
         assert tiling_weight(_row(3), model) == pytest.approx(0.5 * 1.0 * 1.0)
 
@@ -178,26 +173,22 @@ class TestTilingWeight:
         tilings = enumerate_tilings(L, wrap=True)
         # position 0 is covered by the domino at 1 (<1, 0>) or by the wrap domino at 0 (<0, 6>)
         assert tilings[:, 1].any() and tilings[:, 0].any()
-        for variant in ("A", "B"):
-            for modified in (False, True):
-                model = WeightModel(variant=variant, w=w, x=x, modified=modified)
-                for row in tilings:
-                    ref = complex(1.0)
-                    for p in _squares(row):
-                        ref *= x if (modified and p == 0) else 2.0 * x
-                    for d in np.flatnonzero(row):
-                        if variant == "A":
-                            ref *= -(1.0 - 1j * w * t[d]) * (1.0 + 1j * w * t[(d - 1) % L])
-                        else:
-                            ref *= -(1.0 - w) * (1.0 + w)
-                    assert abs(tiling_weight(row, model) - ref) <= 1e-14 * abs(ref)
+        for modified in (False, True):
+            model = WeightModel(w=w, x=x, modified=modified)
+            for row in tilings:
+                ref = complex(1.0)
+                for p in _squares(row):
+                    ref *= x if (modified and p == 0) else 2.0 * x
+                for d in np.flatnonzero(row):
+                    ref *= -(1.0 - 1j * w * t[d]) * (1.0 + 1j * w * t[(d - 1) % L])
+                assert abs(tiling_weight(row, model) - ref) <= 1e-14 * abs(ref)
 
     def test_batch_matches_single_rows(self):
         # bit for bit: a matrix is weighed in one pass, each row as it would be alone
         models = (
-            WeightModel(variant="A", w=0.6, x=-0.7),
-            WeightModel(variant="A", w=0.3, x=0.5, modified=True),
-            WeightModel(variant="B", w=0.45, x=1.1),
+            WeightModel(w=0.6, x=-0.7),
+            WeightModel(w=0.3, x=0.5, modified=True),
+            WeightModel(w=0.45, x=1.1),
         )
         for L in range(3, 16, 2):
             for wrap in (True, False):
@@ -209,29 +200,46 @@ class TestTilingWeight:
                     assert all(type(value) is complex for value in single)
                     assert np.array_equal(batch, single)
 
-    def test_rejects_unknown_variant(self):
-        with pytest.raises(ValueError):
-            WeightModel(variant="C", w=0.5, x=1.0)
-
     @pytest.mark.parametrize("field", ["w", "x"])
     @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
     def test_rejects_non_finite_w_and_x(self, field, bad):
         # a NaN w would weigh every tiling nan+nanj, with no error
         values = {"w": 0.5, "x": 0.5, field: bad}
         with pytest.raises(ValueError, match=f"{field} must be finite, got {bad}"):
-            WeightModel(variant="A", **values)
+            WeightModel(**values)
 
     @pytest.mark.parametrize("field", ["w", "x"])
     @pytest.mark.parametrize("bad", ["0.5", 0.5 + 0.3j])
     def test_rejects_non_real_w_and_x(self, field, bad):
         values = {"w": 0.5, "x": 0.5, field: bad}
         with pytest.raises(ValueError, match=f"{field} must be a finite real number, got"):
-            WeightModel(variant="A", **values)
+            WeightModel(**values)
+
+    @pytest.mark.parametrize("field, bad", [("w", 1e200), ("x", 1e200), ("w", -0.1), ("w", 1.0), ("x", 11)])
+    def test_rejects_out_of_range_w_and_x(self, field, bad):
+        # unbounded, x = 1e200 overflows (2x)^2 with an OverflowError and w = 1e200 weighs tilings inf and NaN
+        values = {"w": 0.5, "x": 0.5, field: bad}
+        bounds = {"w": "[0, 1)", "x": "[-10, 10]"}[field]
+        with pytest.raises(ValueError, match=re.escape(f"{field} must be in {bounds}, got {bad}")):
+            WeightModel(**values)
+
+    def test_rejects_more_positions_than_enumeration(self):
+        # the weight bound holds up to MAX_ENUM_L positions, so a 17-bit row is refused
+        with pytest.raises(ValueError, match=f"tiling_weight supports odd L in 3..{MAX_ENUM_L}, got 17"):
+            tiling_weight(_row(17, {3}), WeightModel(w=0.5, x=1.0))
+
+    def test_weights_stay_finite_at_the_bounds(self):
+        # at |x| = 10 every square weighs 20 and a domino less than 20^2, so no weight passes 20^15
+        star = enumerate_tilings(MAX_ENUM_L, wrap=True)
+        for x in (-10.0, 10.0):
+            weights = tiling_weight(star, WeightModel(w=np.nextafter(1.0, 0.0), x=x))
+            assert np.all(np.isfinite(weights))
+            assert np.max(np.abs(weights)) <= 20.0**MAX_ENUM_L * (1.0 + 1e-12)
 
 
 def _total(L, gamma, x, wrap):
     # all variant-A tiling weights of the star (wrap) or of the cut-open line, summed
-    model = WeightModel(variant="A", w=math.sqrt(1.0 - gamma * gamma), x=x, modified=not wrap)
+    model = WeightModel(w=math.sqrt(1.0 - gamma * gamma), x=x, modified=not wrap)
     return complex(np.sum(tiling_weight(enumerate_tilings(L, wrap), model)))
 
 
@@ -281,7 +289,7 @@ class TestWeightTotals:
                 w = math.sqrt(1.0 - gamma * gamma)
                 for x in (-0.6, 0.2, 0.5, 1.0):
                     for wrap in (True, False):
-                        model = WeightModel(variant="A", w=w, x=x, modified=not wrap)
+                        model = WeightModel(w=w, x=x, modified=not wrap)
                         weights = [tiling_weight(t, model) for t in enumerate_tilings(L, wrap=wrap)]
                         scale = sum(abs(v) for v in weights)
                         assert abs(_total(L, gamma, x, wrap) - sum(weights)) <= 1e-12 * scale
@@ -296,22 +304,24 @@ class TestWeightTotals:
 
 class TestCoefficientCompare:
     def test_no_dominoes_trivial(self):
-        report = coefficient_compare(5, 5)
-        assert report.n_dominoes == 0
-        assert report.max_deviation <= 1e-10
-        assert report.passes
+        # the one all-square tiling, squares weighing 2: a constant 2^5 in both variants
+        coeffs_a, coeffs_b = coefficient_compare(5, 5)
+        assert coeffs_a.shape == coeffs_b.shape == (1,)
+        assert coeffs_a[0] == coeffs_b[0] == 2.0**5
 
     def test_two_dominoes(self):
-        report = coefficient_compare(5, 1)
-        assert report.n_dominoes == 2
-        assert report.passes
+        coeffs_a, coeffs_b = coefficient_compare(5, 1)
+        # degree 2 n_d = 4 in w
+        assert coeffs_a.shape == coeffs_b.shape == (5,)
+        assert np.max(np.abs(coeffs_a - coeffs_b)) <= COEFF_TOL
+        assert np.max(np.abs(coeffs_a[1::2])) <= COEFF_TOL
         # constant term counts the 5 two-domino tilings, times the square weight
-        assert report.coeffs_a[0].real == pytest.approx(10.0, abs=1e-9)
+        assert coeffs_a[0].real == pytest.approx(10.0, abs=1e-9)
 
     def test_reference_case(self):
-        report = coefficient_compare(9, 3)
-        assert report.max_deviation <= COEFF_TOL
-        assert report.max_odd_coefficient <= COEFF_TOL
+        coeffs_a, coeffs_b = coefficient_compare(9, 3)
+        assert np.max(np.abs(coeffs_a - coeffs_b)) <= COEFF_TOL
+        assert np.max(np.abs(coeffs_a[1::2])) <= COEFF_TOL
 
     def test_exact_reference(self):
         # variant B weighs each of the `count` tilings 2^{n_s} (w^2 - 1)^{n_d}, so its
@@ -320,17 +330,18 @@ class TestCoefficientCompare:
             for n_s in range(1, L + 1, 2):
                 n_d = (L - n_s) // 2
                 count = np.count_nonzero(enumerate_tilings(L, wrap=True).sum(axis=1) == n_d)
-                report = coefficient_compare(L, n_s)
+                coeffs_a, coeffs_b = coefficient_compare(L, n_s)
                 expected_b = np.zeros(2 * n_d + 1)
                 for j in range(n_d + 1):
                     expected_b[2 * j] = count * 2**n_s * math.comb(n_d, j) * (-1) ** (n_d - j)
-                assert np.array_equal(report.coeffs_b, expected_b)
-                assert report.coeffs_a[0] == count * 2**n_s * (-1) ** n_d
+                assert np.array_equal(coeffs_b, expected_b)
+                assert coeffs_a[0] == count * 2**n_s * (-1) ** n_d
 
     def test_full_grid(self):
-        for L in (3, 5, 7, 9):
-            for n_s in range(1, L + 1, 2):
-                assert coefficient_compare(L, n_s).passes
+        # every n_s at L = 3..9, judged by the verify check
+        result = verify.check_coefficient_compare(9)
+        assert result.L == 9
+        assert result.passed
 
     def test_invalid_inputs(self):
         with pytest.raises(ValueError):
@@ -588,7 +599,7 @@ class TestRotationsAndReflection:
             assert np.array_equal(np.sort(_masks(reflect(star))), _masks(star))
 
     def test_reflection_preserves_variant_a_weight(self):
-        model = WeightModel(variant="A", w=0.45, x=0.9)
+        model = WeightModel(w=0.45, x=0.9)
         for L in (5, 7, 9):
             star = enumerate_tilings(L, wrap=True)
             assert np.all(np.abs(tiling_weight(star, model) - tiling_weight(reflect(star), model)) <= 1e-10)
@@ -605,5 +616,7 @@ class TestStarLineBijection:
         assert np.array_equal(np.sort(_masks(parts["wrap_domino"])), _masks(star[star[:, 0]]))
 
     def test_set_equality(self):
-        for L in (3, 5, 7, 9, 11):
-            assert star_line_bijection_holds(L)
+        # L = 3..11, judged by the verify check
+        result = verify.check_bijection(11)
+        assert result.L == 11
+        assert result.passed

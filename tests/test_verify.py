@@ -15,6 +15,7 @@ from fpsearch.verify import (
     SUBSETS_PER_CASE,
     _result,
     check_bijection,
+    check_coefficient_compare,
     check_orbit_partition,
     check_reflection,
     check_tangent_sum,
@@ -142,6 +143,7 @@ def _patch_nan(monkeypatch, module, name):
         (combinat, "tangent_sum_terms", ("tangent_sum_identity",)),
         (combinat, "tangent_prefix_terms", ("tangent_sum_identity",)),
         (combinat, "vieta_terms_by_size", ("vieta_identity",)),
+        (combinat, "coefficient_compare", ("coefficient_compare",)),
     ],
 )
 def test_nan_input_fails_its_checks(monkeypatch, module, name, checks):
@@ -167,12 +169,19 @@ def _dropped_part(real):
     return lambda L: {name: part for name, part in real(L).items() if name != "wrap_domino"}
 
 
+def _odd_power_added(real):
+    # 1.0 more on the w^1 coefficient of both weightings: A - B stays 0, so only the odd-power
+    # verdict can fail the check
+    return lambda L, n_s: tuple(coeffs + (np.arange(coeffs.size) == 1) for coeffs in real(L, n_s))
+
+
 @pytest.mark.parametrize(
     "name, broken, check",
     [
         ("reflect", _shift_by_one, check_reflection),
         ("rotation_orbit", _invalid_row, check_orbit_partition),
         ("star_line_partition", _dropped_part, check_bijection),
+        ("coefficient_compare", _odd_power_added, check_coefficient_compare),
     ],
 )
 def test_broken_tiling_map_fails_its_check(monkeypatch, name, broken, check):
