@@ -13,7 +13,8 @@ cut-open L-line) gives N_L(x) itself.  Two domino weightings matter:
 with t(n) = tan(n pi / L) and w = sqrt(1 - gamma^2).  Their total weights
 agree coefficientwise in w, which is what pins N_L(x) to gamma^L T_L(x/gamma).
 ``tiling_weight`` weighs variant A; variant B appears only in
-``coefficient_compare``, which returns both coefficient vectors.
+``coefficient_compare``, which returns both coefficient tables, one row per
+domino count.
 A tiling is a bool row, bit d marking a domino on <d, d-1>; a rotation or the
 reflection of a whole (tilings, L) bit matrix is one column gather, and every
 weight, a value at one w or the exact coefficients in w (the domino quadratics
@@ -63,7 +64,11 @@ def _domino_table(L: int, variant: str, w: float | None = None) -> np.ndarray:
 
 
 def combinations_array(L: int, k: int) -> np.ndarray:
-    """Every k-subset of [L] as one row of a (binom(L, k), k) array, in itertools order."""
+    """Every k-subset of [L], k in 0..L, as one row of a (binom(L, k), k) array, in itertools order."""
+    L = _check_L(L, MAX_TANGENT_L, "combinations_array")
+    k = check_int(k, f"k must be in 0..{L}")
+    if not 0 <= k <= L:
+        raise ValueError(f"k must be in 0..{L}, got {k}")
     count = math.comb(L, k)
     flat = itertools.chain.from_iterable(itertools.combinations(range(L), k))
     dtype = np.min_scalar_type(L - 1)
@@ -166,26 +171,26 @@ def tiling_weight(bits, model: WeightModel):
     return weights if bits.ndim == 2 else complex(weights[0])
 
 
-def coefficient_compare(L: int, n_s: int) -> tuple:
-    """The variant A and B total weights of all star tilings with n_s squares, in w.
+def coefficient_compare(L: int) -> tuple:
+    """The variant A and B total weights of the star tilings, by domino count, in w.
 
-    Returns ``(coeffs_a, coeffs_b)``, two complex vectors of 2 n_d + 1
-    coefficients, lowest power first, n_d = (L - n_s) / 2 dominos, and
-    squares weighing 2.  The identity says they agree coefficient by
-    coefficient and every odd power of w vanishes; ``verify`` checks that.
-    The coefficients are exact expansions, not fits: each tiling's domino
-    quadratics are multiplied out, one domino column of all tilings at a
-    time, and the products are summed over the tilings.
+    Returns ``(coeffs_a, coeffs_b)``, two complex (L // 2 + 1, L) tables,
+    lowest power first, squares weighing 2: row n_d totals the tilings with
+    n_d dominos, and is zero past the power 2 n_d.  The identity says the
+    tables agree coefficient by coefficient and every odd power of w
+    vanishes; ``verify`` checks that.  The coefficients are exact
+    expansions, not fits: each tiling's domino quadratics are multiplied
+    out, one domino column of all tilings at a time, from one enumeration
+    per table, and each row sums its tilings' products.
     """
     L = _check_L(L, MAX_COMPARE_L, "coefficient comparison")
-    n_s = check_odd(n_s, 1, L, "n_s must be one of {L, L-2, ..., 1}")
-    n_d = (L - n_s) // 2
     bits = enumerate_tilings(L, wrap=True)
-    bits = bits[bits.sum(axis=1) == n_d]
-    return tuple(
-        np.sum(_row_weights(bits, _domino_table(L, variant), 1.0, False), axis=0)[: 2 * n_d + 1]
-        for variant in "AB"
-    )
+    n_d = bits.sum(axis=1)
+    tables = []
+    for variant in "AB":
+        weights = _row_weights(bits, _domino_table(L, variant), 1.0, False)
+        tables.append(np.stack([np.sum(weights[n_d == k], axis=0) for k in range(L // 2 + 1)]))
+    return tuple(tables)
 
 
 def _check_subsets(L: int, subsets) -> np.ndarray:
@@ -259,71 +264,34 @@ def tangent_prefix_terms(L: int, orders):
     return _shift_products(L, idx)
 
 
-def tangent_sum(L: int, subset) -> complex:
-    """Sum over all L cyclic shifts of the tangent product for ``subset``.
+def vieta_terms(L: int):
+    """Products prod i tan(d pi / L) over every k-subset of [L], for k = 0..L in turn.
 
-    Equals L when the subset size is even and 0 when it is odd.  Individual
-    terms can be large while the sum is O(L); tolerances should be taken
-    relative to the largest term magnitude.
+    Yields one array per size k, its subsets in itertools order, all from
+    one pass over the 2^L subsets.  The real products prod tan(d pi / L) of
+    every subset are built by doubling: element d = 0, 1, .. joins as the
+    new lowest bit of the subset mask (bit L-1-d), so each product
+    multiplies its tangents in increasing d, and the size-k masks taken
+    largest-first come in itertools order.  Each size's products are then
+    multiplied by i^k, which gives the same values as multiplying the
+    factors i tan(d pi / L) one by one.  L is checked when called.
     """
-    return complex(tangent_sum_terms(L, subset).sum())
-
-
-def _vieta_table(L: int):
-    # products[mask] of every subset of [L], element d at bit L-1-d, and the
-    # subset sizes: element d fills the odd multiples of 2^(L-1-d) from the
-    # products of the elements before it, in place, so each product
-    # multiplies its tangents in increasing d
+    L = _check_L(L, MAX_VIETA_L, "the subset sum")
+    # the product and size of every subset mask, filled in place: element d
+    # writes the odd multiples of 2^(L-1-d) from the entries before it
     t = tan_table(L)
     products, sizes = np.ones(1 << L), np.zeros(1 << L, dtype=np.uint8)
     for d in range(L):
         step = 1 << (L - d)
         np.multiply(products[::step], t[d], out=products[step // 2 :: step])
         np.add(sizes[::step], 1, out=sizes[step // 2 :: step])
-    return products, sizes
-
-
-def _vieta_size(products: np.ndarray, sizes: np.ndarray, k: int) -> np.ndarray:
-    # the size-k masks largest-first: the itertools order of the k-subsets
-    return products[sizes == k][::-1] * (1 + 0j, 1j, -1 + 0j, -1j)[k % 4]
-
-
-def vieta_terms_by_size(L: int):
-    """``vieta_terms(L, k)`` for k = 0..L in turn, all from one pass over the 2^L subsets.
-
-    The real products prod tan(d pi / L) of every subset are built by
-    doubling: element d = 0, 1, .. joins as the new lowest bit of the subset
-    mask (bit L-1-d), so each product multiplies its tangents in increasing
-    d, and the size-k masks taken largest-first come in itertools order.
-    Each size's products are then multiplied by i^k, which gives the same
-    values as multiplying the factors i tan(d pi / L) one by one.
-    """
-    L = _check_L(L, MAX_VIETA_L, "the subset sum")
-    products, sizes = _vieta_table(L)
-    return (_vieta_size(products, sizes, k) for k in range(L + 1))
-
-
-def vieta_terms(L: int, k: int) -> np.ndarray:
-    """Products prod i tan(d pi / L) over every k-subset of [L], in itertools order.
-
-    Taken from the one-pass table of ``vieta_terms_by_size``, for size k only.
-    """
-    L = _check_L(L, MAX_VIETA_L, "the subset sum")
-    k = check_int(k, f"k must be in 0..{L}")
-    if not 0 <= k <= L:
-        raise ValueError(f"k must be in 0..{L}, got {k}")
-    return _vieta_size(*_vieta_table(L), k)
-
-
-def vieta_sum(L: int, k: int) -> complex:
-    """Sum of the k-subset tangent products; equals binom(L, k) for even k, 0 for odd."""
-    return complex(vieta_terms(L, k).sum())
+    return (products[sizes == k][::-1] * (1 + 0j, 1j, -1 + 0j, -1j)[k % 4] for k in range(L + 1))
 
 
 def rotation_orbit(bits, j: int) -> np.ndarray:
     """Shift every piece of each tiling by j positions around the circle: bit d moves to d + j."""
     bits, L = _read_bits(bits)
-    j = check_int(j, "the shift j must be an integer")
+    j = check_int(j, "the shift j must be an integer") % L
     return bits[..., (np.arange(L) - j) % L]
 
 

@@ -15,6 +15,7 @@ suite lives here: the modules it checks return values only, never a verdict.
 from __future__ import annotations
 
 import cmath
+import itertools
 import math
 from dataclasses import dataclass
 
@@ -281,6 +282,7 @@ def _masks(bits: np.ndarray) -> np.ndarray:
 
 
 def check_weight_totals(max_L: int) -> CheckResult:
+    xs = np.array([0.2, 0.5, 1.0])
     devs = []
     degrees = _degrees(3, MAX_WEIGHT_L, max_L)
     for L in degrees:
@@ -289,13 +291,12 @@ def check_weight_totals(max_L: int) -> CheckResult:
         for gamma in (0.3, 0.7, 1.0):
             w = math.sqrt(1.0 - gamma * gamma)
             coeffs = complexpoly.n_poly_coeffs(complexpoly.QuasiChebParams(gamma=gamma, L=L))
-            for x in (0.2, 0.5, 1.0):
-                ref = complex(npoly.polyval(x, coeffs))
-                scale = 1.0 + abs(ref)
-                for bits, share, modified in parts:
-                    model = combinat.WeightModel(w=w, x=x, modified=modified)
-                    total = complex(np.sum(combinat.tiling_weight(bits, model)))
-                    devs.append(abs(total - share * ref) / scale)
+            refs = npoly.polyval(xs, coeffs)
+            for bits, share, modified in parts:
+                # every square carries one factor x, so a tiling weighs x^n_s times its weight at x = 1
+                ones = combinat.tiling_weight(bits, combinat.WeightModel(w=w, x=1.0, modified=modified))
+                totals = xs[:, None] ** (L - 2 * bits.sum(axis=1)) @ ones
+                devs.append(np.abs(totals - share * refs) / (1.0 + np.abs(refs)))
     return _result("tiling_weight_totals", degrees[-1], {}, devs, 1e-9)
 
 
@@ -349,10 +350,9 @@ def check_coefficient_compare(max_L: int) -> CheckResult:
     devs = []
     degrees = _degrees(3, combinat.MAX_COMPARE_L, max_L)
     for L in degrees:
-        for n_s in range(1, L + 1, 2):
-            # variant A and B agree coefficientwise, and A has no odd power of w (none at n_s = L)
-            coeffs_a, coeffs_b = combinat.coefficient_compare(L, n_s)
-            devs += (np.abs(coeffs_a - coeffs_b), np.abs(coeffs_a[1::2]).max(initial=0.0))
+        # at every domino count, variant A and B agree coefficientwise and A has no odd power of w
+        coeffs_a, coeffs_b = combinat.coefficient_compare(L)
+        devs += (np.abs(coeffs_a - coeffs_b), np.abs(coeffs_a[:, 1::2]))
     return _result("coefficient_compare", degrees[-1], {}, devs, COEFF_TOL)
 
 
@@ -395,10 +395,11 @@ def check_tangent_base_cases(max_L: int) -> CheckResult:
     degrees = _degrees(3, combinat.MAX_VIETA_L, max_L)
     for L in degrees:
         # size-L subset: a zero tangent factor appears in every shift
-        devs.append(abs(combinat.tangent_sum(L, range(L))))
+        devs.append(abs(complex(combinat.tangent_sum_terms(L, range(L)).sum())))
         # size-(L-1) subsets reduce to the all-subsets sum
-        full_minus_one = [n for n in range(L) if n != 2]
-        devs.append(abs(combinat.tangent_sum(L, full_minus_one) - combinat.vieta_sum(L, L - 1)))
+        full_minus_one = complex(combinat.tangent_sum_terms(L, [n for n in range(L) if n != 2]).sum())
+        all_subsets = next(itertools.islice(combinat.vieta_terms(L), L - 1, None))
+        devs.append(abs(full_minus_one - complex(all_subsets.sum())))
     return _result("tangent_base_cases", degrees[-1], {}, devs, 1e-8)
 
 
@@ -407,7 +408,7 @@ def check_vieta(max_L: int) -> CheckResult:
     degrees = _degrees(3, combinat.MAX_VIETA_L, max_L)
     for L in degrees:
         # every k of one L from one pass over the 2^L subsets
-        for k, terms in enumerate(combinat.vieta_terms_by_size(L)):
+        for k, terms in enumerate(combinat.vieta_terms(L)):
             expected = math.comb(L, k) if k % 2 == 0 else 0.0
             scale = max(1.0, float(np.sum(np.abs(terms))))
             devs.append(abs(terms.sum() - expected) / scale)

@@ -16,6 +16,7 @@ from fpsearch.combinat import (
     MAX_TANGENT_L,
     MAX_VIETA_L,
     WeightModel,
+    _row_weights,
     _shift_products,
     combinations_array,
     coefficient_compare,
@@ -24,12 +25,9 @@ from fpsearch.combinat import (
     rotation_orbit,
     star_line_partition,
     tangent_prefix_terms,
-    tangent_sum,
     tangent_sum_terms,
     tiling_weight,
-    vieta_sum,
     vieta_terms,
-    vieta_terms_by_size,
 )
 from fpsearch.complexpoly import QuasiChebParams, chebyshev_T, n_poly_coeffs, tan_table
 from fpsearch.verify import COEFF_TOL
@@ -80,6 +78,10 @@ class TestTiling:
             with pytest.raises(ValueError):
                 rotation_orbit(_row(5, {2}), j)
         assert np.array_equal(rotation_orbit([False, True, False, False, False], np.int64(6)), _row(5, {2}))
+        # any integer is a rotation, by j mod L, also past the int64 range
+        star = enumerate_tilings(7, wrap=True)
+        for j in (2**70, -(2**70), np.uint64(2**63)):
+            assert np.array_equal(rotation_orbit(star, j), rotation_orbit(star, int(j) % 7))
 
     def test_pieces_cover_every_position_once(self):
         for L in (3, 7, 9):
@@ -305,84 +307,98 @@ class TestWeightTotals:
 class TestCoefficientCompare:
     def test_no_dominoes_trivial(self):
         # the one all-square tiling, squares weighing 2: a constant 2^5 in both variants
-        coeffs_a, coeffs_b = coefficient_compare(5, 5)
-        assert coeffs_a.shape == coeffs_b.shape == (1,)
-        assert coeffs_a[0] == coeffs_b[0] == 2.0**5
+        coeffs_a, coeffs_b = coefficient_compare(5)
+        assert coeffs_a.shape == coeffs_b.shape == (3, 5)
+        assert np.array_equal(coeffs_a[0], [2.0**5, 0, 0, 0, 0])
+        assert np.array_equal(coeffs_b[0], coeffs_a[0])
 
     def test_two_dominoes(self):
-        coeffs_a, coeffs_b = coefficient_compare(5, 1)
-        # degree 2 n_d = 4 in w
-        assert coeffs_a.shape == coeffs_b.shape == (5,)
-        assert np.max(np.abs(coeffs_a - coeffs_b)) <= COEFF_TOL
-        assert np.max(np.abs(coeffs_a[1::2])) <= COEFF_TOL
+        coeffs_a, coeffs_b = coefficient_compare(5)
+        # row n_d = 2: degree 2 n_d = 4 in w
+        row_a, row_b = coeffs_a[2], coeffs_b[2]
+        assert np.max(np.abs(row_a - row_b)) <= COEFF_TOL
+        assert np.max(np.abs(row_a[1::2])) <= COEFF_TOL
         # constant term counts the 5 two-domino tilings, times the square weight
-        assert coeffs_a[0].real == pytest.approx(10.0, abs=1e-9)
+        assert row_a[0].real == pytest.approx(10.0, abs=1e-9)
 
     def test_reference_case(self):
-        coeffs_a, coeffs_b = coefficient_compare(9, 3)
-        assert np.max(np.abs(coeffs_a - coeffs_b)) <= COEFF_TOL
-        assert np.max(np.abs(coeffs_a[1::2])) <= COEFF_TOL
+        # row n_d = 3 of L = 9: the tilings with 3 squares
+        coeffs_a, coeffs_b = coefficient_compare(9)
+        assert np.max(np.abs(coeffs_a[3] - coeffs_b[3])) <= COEFF_TOL
+        assert np.max(np.abs(coeffs_a[3, 1::2])) <= COEFF_TOL
 
     def test_exact_reference(self):
         # variant B weighs each of the `count` tilings 2^{n_s} (w^2 - 1)^{n_d}, so its
         # coefficients are binomials; every variant-A domino has constant term -1
         for L in range(3, 12, 2):
-            for n_s in range(1, L + 1, 2):
-                n_d = (L - n_s) // 2
+            coeffs_a, coeffs_b = coefficient_compare(L)
+            for n_d in range(L // 2 + 1):
+                n_s = L - 2 * n_d
                 count = np.count_nonzero(enumerate_tilings(L, wrap=True).sum(axis=1) == n_d)
-                coeffs_a, coeffs_b = coefficient_compare(L, n_s)
-                expected_b = np.zeros(2 * n_d + 1)
+                expected_b = np.zeros(L)
                 for j in range(n_d + 1):
                     expected_b[2 * j] = count * 2**n_s * math.comb(n_d, j) * (-1) ** (n_d - j)
-                assert np.array_equal(coeffs_b, expected_b)
-                assert coeffs_a[0] == count * 2**n_s * (-1) ** n_d
+                assert np.array_equal(coeffs_b[n_d], expected_b)
+                assert coeffs_a[n_d, 0] == count * 2**n_s * (-1) ** n_d
+
+    @pytest.mark.parametrize("L", range(3, combinat.MAX_COMPARE_L + 1, 2))
+    def test_rows_sum_row_weights_of_their_tilings(self, L):
+        # bit for bit: row n_d is np.sum over the rows of the n_d-domino tilings alone,
+        # in enumeration order; a sum in another order, such as a one-hot matrix
+        # product over all tilings, fails here at L = 11
+        star = enumerate_tilings(L, wrap=True)
+        for variant, table in zip("AB", coefficient_compare(L)):
+            assert table.shape == (L // 2 + 1, L)
+            for n_d, row in enumerate(table):
+                bits = star[star.sum(axis=1) == n_d]
+                weights = _row_weights(bits, combinat._domino_table(L, variant), 1.0, False)
+                assert np.array_equal(row, np.sum(weights, axis=0))
+                assert np.all(row[2 * n_d + 1 :] == 0.0)
 
     def test_full_grid(self):
-        # every n_s at L = 3..9, judged by the verify check
+        # every domino count at L = 3..9, judged by the verify check
         result = verify.check_coefficient_compare(9)
         assert result.L == 9
         assert result.passed
 
     def test_invalid_inputs(self):
         with pytest.raises(ValueError):
-            coefficient_compare(5, 2)
-        with pytest.raises(ValueError):
-            coefficient_compare(13, 1)
-        with pytest.raises(ValueError, match="got 3.0"):
-            coefficient_compare(9, 3.0)
+            coefficient_compare(13)
+        with pytest.raises(ValueError, match="got 9.0"):
+            coefficient_compare(9.0)
 
 
 class TestTangentSum:
     def test_reference_instance(self):
-        assert abs(tangent_sum(5, (0, 2)) - 5.0) <= 1e-10
+        assert abs(tangent_sum_terms(5, (0, 2)).sum() - 5.0) <= 1e-10
 
     def test_single_element_cancels(self):
-        assert abs(tangent_sum(5, (0,))) <= 1e-12
+        assert abs(tangent_sum_terms(5, (0,)).sum()) <= 1e-12
 
     def test_odd_subset_vanishes(self):
-        value = tangent_sum(7, (1, 2, 3))
-        max_term = np.max(np.abs(tangent_sum_terms(7, (1, 2, 3))))
-        assert abs(value) <= 1e-10 * max_term
+        terms = tangent_sum_terms(7, (1, 2, 3))
+        assert abs(terms.sum()) <= 1e-10 * np.max(np.abs(terms))
 
     def test_full_subset_exactly_zero(self):
-        assert tangent_sum(9, range(9)) == 0.0
+        assert tangent_sum_terms(9, range(9)).sum() == 0.0
 
     def test_size_l_minus_one_reduces_to_subset_sum(self):
         for L in (5, 7, 9):
             subset = [n for n in range(L) if n != 3]
-            assert abs(tangent_sum(L, subset) - vieta_sum(L, L - 1)) <= 1e-9
+            every_subset = list(vieta_terms(L))[L - 1]
+            assert abs(tangent_sum_terms(L, subset).sum() - every_subset.sum()) <= 1e-9
 
     def test_rejects_duplicates(self):
         with pytest.raises(ValueError):
-            tangent_sum(5, (1, 1))
+            tangent_sum_terms(5, (1, 1))
 
     def test_rejects_out_of_range(self):
         with pytest.raises(ValueError):
-            tangent_sum(5, (0, 5))
+            tangent_sum_terms(5, (0, 5))
 
     def test_rejects_fractional_entries(self):
         with pytest.raises(ValueError):
-            tangent_sum(5, (0.5, 2))
+            tangent_sum_terms(5, (0.5, 2))
 
     def test_batch_rejects_duplicates(self):
         with pytest.raises(ValueError):
@@ -403,7 +419,7 @@ class TestTangentSum:
     def test_rejects_scalar_subsets(self):
         # a scalar is not a sequence of entries, so list() of it cannot read it
         with pytest.raises(ValueError, match="rectangular"):
-            tangent_sum(5, 3)
+            tangent_sum_terms(5, 3)
         with pytest.raises(ValueError, match="rectangular"):
             tangent_sum_terms(5, None)
 
@@ -443,19 +459,18 @@ class TestTangentSum:
 
 class TestVietaSum:
     def test_empty_product(self):
-        assert vieta_sum(5, 0) == 1.0
+        assert next(vieta_terms(5)).sum() == 1.0
 
     def test_reference_binomial(self):
-        assert abs(vieta_sum(5, 2) - 10.0) <= 1e-9
+        assert abs(list(vieta_terms(5))[2].sum() - 10.0) <= 1e-9
 
     def test_odd_size_vanishes(self):
-        terms = vieta_terms(7, 5)
+        terms = list(vieta_terms(7))[5]
         assert abs(terms.sum()) <= 1e-6 * np.sum(np.abs(terms))
 
     def test_identity_grid(self):
         for L in (3, 5, 7, 9, 11):
-            for k in range(L + 1):
-                terms = vieta_terms(L, k)
+            for k, terms in enumerate(vieta_terms(L)):
                 expected = math.comb(L, k) if k % 2 == 0 else 0.0
                 scale = max(1.0, float(np.sum(np.abs(terms))))
                 assert abs(terms.sum() - expected) / scale <= 1e-6
@@ -463,17 +478,26 @@ class TestVietaSum:
     def test_terms_match_per_combination_product(self):
         for L in range(3, 12, 2):
             t = 1j * np.tan(np.arange(L) * math.pi / L)
-            for k in range(L + 1):
+            for k, terms in enumerate(vieta_terms(L)):
                 ref = np.array([np.prod(t[list(comb)]) for comb in combinations(range(L), k)])
-                np.testing.assert_allclose(vieta_terms(L, k), ref, rtol=1e-14, atol=0.0)
+                np.testing.assert_allclose(terms, ref, rtol=1e-14, atol=0.0)
 
     def test_domain(self):
         with pytest.raises(ValueError):
-            vieta_sum(5, 6)
+            vieta_terms(17)
+        with pytest.raises(ValueError, match="got 9.0"):
+            vieta_terms(9.0)
+        # the subset size is read where it is an argument, by combinations_array
+        with pytest.raises(ValueError, match=r"k must be in 0\.\.5, got 6"):
+            combinations_array(5, 6)
+
+    @pytest.mark.parametrize(
+        "L, k", [(5, 2.0), (5.0, 2), (5, True), (2**70, 1), (5, 6), (5, -1), (4, 1), (27, 1)]
+    )
+    def test_combinations_array_rejects_bad_counts(self, L, k):
+        # counts are read by check_int, never truncated, and L and k must lie in range
         with pytest.raises(ValueError):
-            vieta_sum(17, 1)
-        with pytest.raises(ValueError, match="got 2.0"):
-            vieta_terms(9, 2.0)
+            combinations_array(L, k)
 
 
 def _add_modulo_gather(L, rows, shifts):
@@ -496,6 +520,7 @@ class TestShiftProducts:
         # kept in a list: a later prefix must not overwrite an earlier one
         prefixes = list(_shift_products(L, orders))
         assert len(prefixes) == L
+        sizes = list(vieta_terms(L)) if L <= MAX_VIETA_L else None
         for k in range(L + 1):
             rows = orders[:, :k]
             if k:
@@ -505,7 +530,7 @@ class TestShiftProducts:
             if L <= MAX_VIETA_L:
                 every_subset = combinations_array(L, k).astype(np.int64)
                 reference = _add_modulo_gather(L, every_subset, np.zeros(1, dtype=np.int64))[:, 0]
-                assert np.array_equal(vieta_terms(L, k), reference)
+                assert np.array_equal(sizes[k], reference)
 
 
 class TestTangentPrefixTerms:
@@ -534,7 +559,7 @@ class TestVietaBySize:
         # bit-identical to multiplying i tan(d pi / L) column by column over the
         # itertools-ordered subsets, one k at a time
         t = 1j * tan_table(L)
-        sizes = list(vieta_terms_by_size(L))
+        sizes = list(vieta_terms(L))
         assert len(sizes) == L + 1
         for k, terms in enumerate(sizes):
             rows = combinations_array(L, k)
@@ -543,19 +568,11 @@ class TestVietaBySize:
                 reference = reference * t[column]
             assert terms.dtype == np.complex128
             assert np.array_equal(terms, reference)
-            assert np.array_equal(vieta_terms(L, k), reference)
 
     def test_rejects_bad_L_when_called(self):
         for bad in (17, 4, 1, 5.0):
             with pytest.raises(ValueError):
-                vieta_terms_by_size(bad)
-
-    def test_single_size_selects_only_k(self, monkeypatch):
-        # one table per call, from which vieta_terms takes size k alone, not every size below it
-        real, calls = combinat._vieta_size, []
-        monkeypatch.setattr(combinat, "_vieta_size", lambda *args: calls.append(args[2]) or real(*args))
-        vieta_terms(15, 14)
-        assert calls == [14]
+                vieta_terms(bad)
 
 
 class TestRotationsAndReflection:

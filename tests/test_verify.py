@@ -142,7 +142,7 @@ def _patch_nan(monkeypatch, module, name):
         (complexpoly, "quasi_cheb_closed", ("quasi_cheb_closed_form", "quasi_cheb_boundedness")),
         (combinat, "tangent_sum_terms", ("tangent_sum_identity",)),
         (combinat, "tangent_prefix_terms", ("tangent_sum_identity",)),
-        (combinat, "vieta_terms_by_size", ("vieta_identity",)),
+        (combinat, "vieta_terms", ("tangent_base_cases", "vieta_identity")),
         (combinat, "coefficient_compare", ("coefficient_compare",)),
     ],
 )
@@ -170,9 +170,9 @@ def _dropped_part(real):
 
 
 def _odd_power_added(real):
-    # 1.0 more on the w^1 coefficient of both weightings: A - B stays 0, so only the odd-power
-    # verdict can fail the check
-    return lambda L, n_s: tuple(coeffs + (np.arange(coeffs.size) == 1) for coeffs in real(L, n_s))
+    # 1.0 more on the w^1 coefficient of every row of both weightings: A - B stays 0, so only
+    # the odd-power verdict can fail the check
+    return lambda L: tuple(table + (np.arange(table.shape[1]) == 1) for table in real(L))
 
 
 @pytest.mark.parametrize(
