@@ -55,6 +55,7 @@ import tempfile
 
 import numpy as np
 
+from .complexpoly import check_int
 from .schedule import SearchParams, make_schedule, schedule_for
 from .sim2d import _BLOCK, run_search, success_probability_closed
 from .statevector import MarkedSet, check_qubits, run_full_search
@@ -127,9 +128,8 @@ def _sweep_grid(args) -> np.ndarray:
         raise ValueError(
             f"need 0 <= lambda-min < lambda-max <= 1, got [{args.lambda_min}, {args.lambda_max}]"
         )
-    if not 2 <= args.points <= 1_000_000:
-        raise ValueError(f"points must be in 2..1000000, got {args.points}")
-    return np.linspace(args.lambda_min, args.lambda_max, args.points)
+    points = check_int(args.points, "points must be in 2..1000000", 2, 1_000_000)
+    return np.linspace(args.lambda_min, args.lambda_max, points)
 
 
 def _sweep_blocks(lams, closed, sched, row: str, sep: str, start: int, stop: int, acc):
@@ -257,12 +257,9 @@ def _parse_marked(args, dim: int):
             return tuple(int(part) for part in args.marked.split(","))
         except ValueError as exc:
             raise ValueError(f"--marked must be a comma-separated integer list: {exc}") from exc
-    if not 1 <= args.marked_count < dim:
-        raise ValueError(f"--marked-count must be in 1..{dim - 1}, got {args.marked_count}")
-    if args.seed is not None and args.seed < 0:
-        raise ValueError(f"--seed must be a non-negative integer, got {args.seed}")
-    rng = np.random.default_rng(0 if args.seed is None else args.seed)
-    return tuple(int(i) for i in rng.choice(dim, size=args.marked_count, replace=False))
+    count = check_int(args.marked_count, f"--marked-count must be in 1..{dim - 1}", 1, dim - 1)
+    seed = 0 if args.seed is None else check_int(args.seed, "--seed must be a non-negative integer", 0)
+    return tuple(int(i) for i in np.random.default_rng(seed).choice(dim, size=count, replace=False))
 
 
 def cmd_statevector(args) -> int:

@@ -32,7 +32,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .complexpoly import check_int, check_odd, check_real, tan_table
+from .complexpoly import check_int, check_odd, check_scalar, tan_table
 
 MAX_ENUM_L = 15
 MAX_COMPARE_L = 11
@@ -66,9 +66,7 @@ def _domino_table(L: int, variant: str, w: float | None = None) -> np.ndarray:
 def combinations_array(L: int, k: int) -> np.ndarray:
     """Every k-subset of [L], k in 0..L, as one row of a (binom(L, k), k) array, in itertools order."""
     L = _check_L(L, MAX_TANGENT_L, "combinations_array")
-    k = check_int(k, f"k must be in 0..{L}")
-    if not 0 <= k <= L:
-        raise ValueError(f"k must be in 0..{L}, got {k}")
+    k = check_int(k, f"k must be in 0..{L}", 0, L)
     count = math.comb(L, k)
     flat = itertools.chain.from_iterable(itertools.combinations(range(L), k))
     dtype = np.min_scalar_type(L - 1)
@@ -121,15 +119,8 @@ class WeightModel:
     modified: bool = False
 
     def __post_init__(self):
-        for name in ("w", "x"):
-            value = getattr(self, name)
-            real = check_real(value, f"{name} must be a finite real number")
-            if real.ndim or not math.isfinite(real):
-                raise ValueError(f"{name} must be finite, got {value}")
-        if not 0.0 <= self.w < 1.0:
-            raise ValueError(f"w must be in [0, 1), got {self.w}")
-        if not abs(self.x) <= 10.0:
-            raise ValueError(f"x must be in [-10, 10], got {self.x}")
+        check_scalar(self.w, "w must be a real number in [0, 1)", lambda w: 0.0 <= w < 1.0)
+        check_scalar(self.x, "x must be a real number in [-10, 10]", lambda x: abs(x) <= 10.0)
 
 
 def _row_weights(bits: np.ndarray, dom: np.ndarray, x: float, modified: bool) -> np.ndarray:

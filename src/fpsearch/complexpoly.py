@@ -11,9 +11,12 @@ tangents tan(n pi / L): the twists and twist angles here, the schedule angles
 and the tiling weights are all taken from it.
 
 Complex scalars are Python ``complex``; coefficient vectors are numpy arrays
-of ``complex128`` indexed by degree.  ``check_int`` reads every count,
-``check_odd`` every odd count in a range, such as a degree L, and
-``check_real`` every real input, x and lambda, w, delta and gamma.
+of ``complex128`` indexed by degree.  One reader owns each input rule:
+``check_int`` reads every count and its range, ``check_odd`` every odd count in
+a range, such as a degree L, ``check_real`` every real array, such as x and
+lambda or a schedule's angles, and ``check_scalar`` every real scalar in an
+interval, such as w, delta, lambda and gamma.  Each raises ValueError with one
+message per input, "<rule>, got <value>".
 """
 
 from __future__ import annotations
@@ -30,40 +33,64 @@ COEFF_MAX_DEGREE = 41
 EVAL_MAX_DEGREE = 100_000
 
 
-def check_int(value, what: str) -> int:
-    """Read a count as a Python int; a float is never truncated, not even an integral one.
+def check_int(value, what: str, lo: int | None = None, hi: int | None = None) -> int:
+    """Read a count in lo..hi (an end is open when None) as a Python int.
 
-    A bool is not a count either, although ``operator.index(True)`` is 1.
+    A float is never truncated, not even an integral one, and a bool is not a
+    count either, although ``operator.index(True)`` is 1.
     """
     if isinstance(value, (bool, np.bool_)):
         raise ValueError(f"{what}, got {value!r}")
     try:
-        return operator.index(value)
+        n = operator.index(value)
     except TypeError:
         raise ValueError(f"{what}, got {value!r}") from None
+    if (lo is not None and n < lo) or (hi is not None and n > hi):
+        raise ValueError(f"{what}, got {n}")
+    return n
 
 
 def check_real(value, what: str) -> np.ndarray:
-    """Read a real scalar or array as float64; complex input raises, where a cast would drop its imaginary part."""
-    arr = np.asarray(value)
+    """Read a real scalar or array as float64; a float64 array is kept without a copy.
+
+    Complex input raises, where a cast would drop its imaginary part, and so
+    does a string, an object array or a ragged list, which numpy cannot shape.
+    """
+    try:
+        arr = np.asarray(value)
+    except (TypeError, ValueError):
+        # numpy's own error, such as on a ragged list
+        raise ValueError(f"{what}, got {value!r}") from None
     if arr.dtype.kind not in "biuf":
         raise ValueError(f"{what}, got {value!r}")
     return arr.astype(float, copy=False)
 
 
+def check_scalar(value, what: str, inside) -> float:
+    """Read a real 0-d value as a Python float for which ``inside(value)`` holds.
+
+    ``inside`` is the interval's comparison, so NaN fails it, as does +-inf
+    at a finite end.
+    """
+    real = check_real(value, what)
+    if real.ndim == 0:
+        scalar = float(real)
+        if inside(scalar):
+            return scalar
+    raise ValueError(f"{what}, got {value!r}")
+
+
 def check_odd(value, lo: int, hi: int | None, what: str) -> int:
     """Read an odd count in lo..hi (no upper bound when hi is None) as a Python int."""
-    n = check_int(value, what)
-    if n % 2 == 0 or n < lo or (hi is not None and n > hi):
+    n = check_int(value, what, lo, hi)
+    if n % 2 == 0:
         raise ValueError(f"{what}, got {n}")
     return n
 
 
-def check_gamma(gamma: float) -> None:
-    """Reject gamma = sqrt(1 - w^2) outside (0, 1]."""
-    real = check_real(gamma, "gamma must be a real number in (0, 1]")
-    if real.ndim or not 0.0 < float(real) <= 1.0:
-        raise ValueError(f"gamma must be in (0, 1], got {gamma}")
+def check_gamma(gamma: float) -> float:
+    """Read gamma = sqrt(1 - w^2) in (0, 1] as a Python float."""
+    return check_scalar(gamma, "gamma must be a real number in (0, 1]", lambda g: 0.0 < g <= 1.0)
 
 
 @dataclass(frozen=True)
@@ -104,11 +131,7 @@ def chebyshev_T(L: int, x):
     outside.  Both branches stay accurate at degrees where the monomial
     expansion of T_L has long lost all its digits.
     """
-    L = check_int(L, "degree must be an integer")
-    if L < 0:
-        raise ValueError(f"degree must be >= 0, got {L}")
-    if L > EVAL_MAX_DEGREE:
-        raise ValueError(f"degree capped at {EVAL_MAX_DEGREE}, got {L}")
+    L = check_int(L, f"degree must be an integer in 0..{EVAL_MAX_DEGREE}", 0, EVAL_MAX_DEGREE)
     arr = check_real(x, "x must be real")
     out = np.empty_like(arr)
     inside = np.abs(arr) <= 1.0

@@ -20,27 +20,21 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .complexpoly import EVAL_MAX_DEGREE, check_int, check_real, tan_table
+from .complexpoly import EVAL_MAX_DEGREE, check_int, check_real, check_scalar, tan_table
 
 # the largest l whose degree L = 2l + 1 chebyshev_T still evaluates
 MAX_ITERATIONS = (EVAL_MAX_DEGREE - 1) // 2
 
 
-def _check_unit(value: float, name: str) -> None:
-    # w and delta lie in (0, 1); a string or a complex number raises before the comparison,
-    # which runs on a Python float: on a 0-d array it costs several times more
-    real = check_real(value, f"{name} must be a real number in (0, 1)")
-    if real.ndim or not 0.0 < float(real) < 1.0:
-        raise ValueError(f"{name} must be in (0, 1), got {value}")
+def check_unit(value: float, name: str) -> float:
+    """Read w, delta or lambda, a real number in (0, 1), as a Python float."""
+    return check_scalar(value, f"{name} must be a real number in (0, 1)", lambda v: 0.0 < v < 1.0)
 
 
 def check_w_l(w: float, l: int) -> int:
     """Reject w outside (0, 1) and l that is not an integer in 1..MAX_ITERATIONS; returns l as a Python int."""
-    _check_unit(w, "w")
-    l = check_int(l, "l must be an integer")
-    if not 1 <= l <= MAX_ITERATIONS:
-        raise ValueError(f"l must be in 1..{MAX_ITERATIONS}, got {l}")
-    return l
+    check_unit(w, "w")
+    return check_int(l, f"l must be an integer in 1..{MAX_ITERATIONS}", 1, MAX_ITERATIONS)
 
 
 @dataclass(frozen=True)
@@ -51,13 +45,16 @@ class SearchParams:
     delta: float
 
     def __post_init__(self):
-        _check_unit(self.w, "w")
-        _check_unit(self.delta, "delta")
+        check_unit(self.w, "w")
+        check_unit(self.delta, "delta")
 
 
 def _iteration_bound(params: SearchParams) -> float:
-    # ln(2/delta) / (2w); inf at the smallest subnormal w
-    return math.log(2.0 / params.delta) / (2.0 * params.w)
+    # ln(2/delta) / (2w); inf at the smallest subnormal w.  2/delta overflows below
+    # delta = 2/DBL_MAX, about 1.1e-308, where ln 2 - ln delta is still finite
+    ratio = 2.0 / params.delta
+    log_ratio = math.log(ratio) if ratio < math.inf else math.log(2.0) - math.log(params.delta)
+    return log_ratio / (2.0 * params.w)
 
 
 def min_iterations(params: SearchParams) -> int:
@@ -98,25 +95,13 @@ class AngleSchedule:
     delta: float | None = None
 
     def __post_init__(self):
-        _check_unit(self.w, "w")
+        check_unit(self.w, "w")
         # delta is bookkeeping only, but to_dict reports it
         if self.delta is not None:
-            _check_unit(self.delta, "delta")
-        # lists become float arrays; a float array is kept as it is, without a copy.
-        # Complex angles are rejected, not cast: the cast would drop their imaginary parts
+            check_unit(self.delta, "delta")
+        # lists become float arrays; a float array is kept as it is, without a copy
         for name in ("alpha", "beta"):
-            angles = getattr(self, name)
-            try:
-                is_complex = np.iscomplexobj(angles)
-                if not is_complex:
-                    object.__setattr__(self, name, np.asarray(angles, dtype=float))
-            except (TypeError, ValueError):
-                # a set has no order and a ragged list no shape: neither is a 1-D array of angles
-                raise ValueError(
-                    f"alpha and beta must be 1-D with equal shapes, got {name} = {angles!r}, not an array of real numbers"
-                ) from None
-            if is_complex:
-                raise ValueError(f"alpha and beta must be finite real numbers, got complex {name}")
+            object.__setattr__(self, name, check_real(getattr(self, name), f"{name} must be an array of real numbers"))
         # the search zips alpha with beta, so a short array would silently drop iterations
         shapes = self.alpha.shape, self.beta.shape
         if len(shapes[0]) != 1 or shapes[0] != shapes[1]:

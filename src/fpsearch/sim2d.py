@@ -75,7 +75,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .complexpoly import chebyshev_T, check_real
-from .schedule import AngleSchedule, check_w_l
+from .schedule import AngleSchedule, check_unit, check_w_l
 
 
 @dataclass(frozen=True)
@@ -198,7 +198,7 @@ def success_probability_closed(lam, w: float, l: int):
     x = np.sqrt(np.maximum(0.0, 1.0 - lams * lams))
     ratio = chebyshev_T(L, x / gamma) / chebyshev_T(L, 1.0 / gamma)
     # the ratio can exceed 1 by roundoff only when it is 1 up to eps; fmax also
-    # turns the NaN of a cosh overflow into 0 (ROADMAP item 3)
+    # turns the NaN of a cosh overflow into 0 (ROADMAP item 1)
     out = np.sqrt(np.fmax(0.0, 1.0 - ratio * ratio))
     return float(out) if out.ndim == 0 else out
 
@@ -209,8 +209,4 @@ def classic_grover_optimal(lam: float) -> int:
     Half-integer ties round to the even neighbour (Python's round); the
     result is floored at 0.
     """
-    what = "lambda must be in (0, 1)"
-    real = check_real(lam, what)
-    if real.ndim or not 0.0 < float(real) < 1.0:
-        raise ValueError(f"{what}, got {lam}")
-    return max(0, round(math.pi / (4.0 * math.asin(float(real))) - 0.5))
+    return max(0, round(math.pi / (4.0 * math.asin(check_unit(lam, "lambda"))) - 0.5))

@@ -58,10 +58,7 @@ class MarkedSet:
 
 def check_qubits(n_qubits: int) -> int:
     """Reject a register size that is not an integer in 1..MAX_QUBITS; return it as a Python int."""
-    n_qubits = check_int(n_qubits, "n_qubits must be an integer")
-    if not 1 <= n_qubits <= MAX_QUBITS:
-        raise ValueError(f"n_qubits must be in 1..{MAX_QUBITS}, got {n_qubits}")
-    return n_qubits
+    return check_int(n_qubits, f"n_qubits must be an integer in 1..{MAX_QUBITS}", 1, MAX_QUBITS)
 
 
 def apply_marked_phase_via_oracle(amps: np.ndarray, marked: MarkedSet, alpha: float) -> tuple[np.ndarray, int]:

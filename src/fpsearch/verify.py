@@ -431,9 +431,7 @@ def run_verification(max_L: int = 9, seed: int = 42) -> list:
     """Run every invariant check; max_L bounds the enumeration-based grids."""
     top = combinat.MAX_TANGENT_L
     max_L = complexpoly.check_odd(max_L, 3, top, f"max_L must be an odd integer in 3..{top}")
-    seed = complexpoly.check_int(seed, "seed must be an integer")
-    if seed < 0:
-        raise ValueError(f"seed must be a non-negative integer, got {seed}")
+    seed = complexpoly.check_int(seed, "seed must be a non-negative integer", 0)
     rng = np.random.default_rng(seed)
     return [
         check_quasi_cheb_closed_form(max_L),

@@ -2,6 +2,7 @@
 
 import cmath
 import math
+import re
 
 import numpy as np
 import pytest
@@ -11,8 +12,10 @@ from numpy.polynomial import polynomial as npoly
 
 from fpsearch.complexpoly import (
     COEFF_MAX_DEGREE,
+    EVAL_MAX_DEGREE,
     QuasiChebParams,
     check_int,
+    check_scalar,
     chebyshev_T,
     d_product,
     n_poly_coeffs,
@@ -62,6 +65,27 @@ class TestCheckInt:
             check_int(value, "n must be an integer")
         assert str(info.value) == f"n must be an integer, got {value!r}"
 
+    @pytest.mark.parametrize("value, lo, hi", [(-1, 0, None), (4, None, 3), (np.int64(9), 2, 8)])
+    def test_range_is_read_with_the_type(self, value, lo, hi):
+        with pytest.raises(ValueError) as info:
+            check_int(value, "n must be in the range", lo, hi)
+        assert str(info.value) == f"n must be in the range, got {int(value)}"
+        assert check_int(value, "n must be in the range", value, value) == value
+
+
+class TestCheckScalar:
+    def test_returns_a_python_float(self):
+        out = check_scalar(np.float32(0.5), "v must be in (0, 1)", lambda v: 0.0 < v < 1.0)
+        assert type(out) is float and out == 0.5
+
+    @pytest.mark.parametrize(
+        "value", [0.0, 1.0, math.nan, math.inf, -math.inf, np.array([0.5]), "0.5", None, [0.5, [0.5]]]
+    )
+    def test_outside_or_not_a_real_scalar_raises_naming_the_value(self, value):
+        with pytest.raises(ValueError) as info:
+            check_scalar(value, "v must be in (0, 1)", lambda v: 0.0 < v < 1.0)
+        assert str(info.value) == f"v must be in (0, 1), got {value!r}"
+
 
 class TestChebyshevT:
     def test_unit_argument(self):
@@ -101,12 +125,13 @@ class TestChebyshevT:
 
     @pytest.mark.parametrize("L", [5.5, 5.0])
     def test_rejects_non_integer_degree(self, L):
-        with pytest.raises(ValueError, match=f"degree must be an integer, got {L}"):
+        with pytest.raises(ValueError, match=re.escape(f"degree must be an integer in 0..{EVAL_MAX_DEGREE}, got {L}")):
             chebyshev_T(L, 0.3)
 
-    @pytest.mark.parametrize("x", [np.array([0.5 + 0.3j]), 0.5 + 0.3j, [0.2, 0.5j]])
+    @pytest.mark.parametrize("x", [np.array([0.5 + 0.3j]), 0.5 + 0.3j, [0.2, 0.5j], [0.2, [0.5]]])
     def test_rejects_complex_x(self, x):
-        # the float cast would keep only the real part: T_3(0.5) = -1
+        # the float cast would keep only the real part: T_3(0.5) = -1.  A ragged
+        # list, which numpy cannot shape, gets the same message
         with pytest.raises(ValueError, match="x must be real, got"):
             chebyshev_T(3, x)
         with pytest.raises(ValueError, match="x must be real, got"):

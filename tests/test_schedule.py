@@ -3,6 +3,7 @@
 import dataclasses
 import json
 import math
+import re
 
 import numpy as np
 import pytest
@@ -52,11 +53,17 @@ class TestMinIterations:
     def test_floors_at_one(self):
         assert min_iterations(SearchParams(w=0.99, delta=0.99)) == 1
 
-    @pytest.mark.parametrize("w,delta", [(5e-324, 0.1), (0.5, 5e-324)])
+    @pytest.mark.parametrize("w,delta", [(5e-324, 0.1)])
     def test_infinite_count_names_the_inputs(self, w, delta):
         # ln(2/delta) / (2w) overflows to inf, which math.ceil cannot round
         with pytest.raises(ValueError, match=f"w = {w} and delta = {delta} give an infinite iteration count"):
             min_iterations(SearchParams(w=w, delta=delta))
+
+    @pytest.mark.parametrize("delta,l", [(5e-324, 746), (1e-320, 738), (1e-309, 713), (2e-308, 710), (1e-300, 692)])
+    def test_subnormal_delta_gives_a_finite_count(self, delta, l):
+        # 2/delta overflows to inf below delta = 1.1e-308, but ln(2/delta) / (2w) stays finite
+        params = SearchParams(w=0.5, delta=delta)
+        assert min_iterations(params) == schedule_for(params).l == l
 
 
 class TestArccot:
@@ -125,10 +132,13 @@ class TestMakeSchedule:
 
     @pytest.mark.parametrize(
         "w,l",
-        [(0.0, 3), (1.0, 3), (-0.1, 3), (math.nan, 3), (0.5, 0), (0.5, -2), (0.1, 50_000), (0.5, True), ("0.5", 3)],
+        [(0.0, 3), (1.0, 3), (-0.1, 3), (math.nan, 3), (0.5, 0), (0.5, -2), (0.1, 50_000), (0.5, True), ("0.5", 3),
+         (None, 3), (math.inf, 3), (-math.inf, 3), ([0.5, [0.5]], 3)],
     )
     def test_invalid_inputs(self, w, l):
-        with pytest.raises(ValueError):
+        # each message names the input it refuses and its value
+        rules = r"^(w must be a real number in \(0, 1\)|l must be an integer in 1\.\.49999), got "
+        with pytest.raises(ValueError, match=rules):
             make_schedule(w, l)
 
     def test_rejects_non_real_w_naming_it(self):
@@ -138,7 +148,7 @@ class TestMakeSchedule:
 
     @pytest.mark.parametrize("l", [2.5, 2.0, None])
     def test_rejects_non_integer_l(self, l):
-        with pytest.raises(ValueError, match=f"l must be an integer, got {l}"):
+        with pytest.raises(ValueError, match=re.escape(f"l must be an integer in 1..{MAX_ITERATIONS}, got {l}")):
             make_schedule(0.3, l)
 
     def test_accepts_numpy_integer_l(self):
@@ -178,27 +188,30 @@ class TestAngleSchedule:
         assert np.array_equal(sched.phi, [0.0, 2.0 * math.pi] * 3)
 
     @pytest.mark.parametrize(
-        "alpha,beta",
+        "alpha,beta,rule",
         [
-            (np.ones(3), np.ones(2)),
-            (np.ones(2), np.ones(3)),
-            (np.ones((2, 2)), np.ones((2, 2))),
-            (1.0, 1.0),
-            ({1.0, 2.0}, [1.0, 2.0]),
-            ([[1.0], [1.0, 2.0]], [1.0, 2.0]),
-            ([1.0, 2.0], [[1.0], [1.0, 2.0]]),
+            (np.ones(3), np.ones(2), "alpha and beta must be 1-D with equal shapes, got (3,) and (2,)"),
+            (np.ones(2), np.ones(3), "alpha and beta must be 1-D with equal shapes, got (2,) and (3,)"),
+            (np.ones((2, 2)), np.ones((2, 2)), "alpha and beta must be 1-D with equal shapes, got (2, 2) and (2, 2)"),
+            (1.0, 1.0, "alpha and beta must be 1-D with equal shapes, got () and ()"),
+            # a set has no order and a ragged list no shape: neither is an array of angles
+            ({1.0, 2.0}, [1.0, 2.0], "alpha must be an array of real numbers, got {1.0, 2.0}"),
+            ([[1.0], [1.0, 2.0]], [1.0, 2.0], "alpha must be an array of real numbers, got [[1.0], [1.0, 2.0]]"),
+            ([1.0, 2.0], [[1.0], [1.0, 2.0]], "beta must be an array of real numbers, got [[1.0], [1.0, 2.0]]"),
+            (None, [1.0, 2.0], "alpha must be an array of real numbers, got None"),
         ],
-        ids=["short-beta", "short-alpha", "2-D", "0-D", "set", "ragged-alpha", "ragged-beta"],
+        ids=["short-beta", "short-alpha", "2-D", "0-D", "set", "ragged-alpha", "ragged-beta", "None-alpha"],
     )
-    def test_rejects_unequal_or_non_1d_angles(self, alpha, beta):
+    def test_rejects_unequal_or_non_1d_angles(self, alpha, beta, rule):
         # zip would run min(len(alpha), len(beta)) iterations
-        with pytest.raises(ValueError, match="alpha and beta must be 1-D with equal shapes"):
+        with pytest.raises(ValueError, match=re.escape(rule)):
             AngleSchedule(w=0.2, alpha=alpha, beta=beta)
 
     @pytest.mark.parametrize("field", ["alpha", "beta"])
     def test_ragged_angles_name_the_field(self, field):
         angles = {"alpha": [1.0, 2.0], "beta": [1.0, 2.0], field: [[1.0], [1.0, 2.0]]}
-        with pytest.raises(ValueError, match=f"got {field} = "):
+        rule = f"{field} must be an array of real numbers, got [[1.0], [1.0, 2.0]]"
+        with pytest.raises(ValueError, match=re.escape(rule)):
             AngleSchedule(w=0.5, **angles)
 
     def test_reads_lists_as_float_arrays(self):
@@ -214,9 +227,9 @@ class TestAngleSchedule:
         sched = AngleSchedule(w=0.2, alpha=alpha, beta=beta)
         assert sched.alpha is alpha and sched.beta is beta
 
-    @pytest.mark.parametrize("w", [5.0, 0.0, 1.0, math.nan])
+    @pytest.mark.parametrize("w", [5.0, 0.0, 1.0, math.nan, None])
     def test_rejects_w_outside_the_unit_interval(self, w):
-        with pytest.raises(ValueError, match="w must be in"):
+        with pytest.raises(ValueError, match=re.escape(f"w must be a real number in (0, 1), got {w!r}")):
             AngleSchedule(w=w, alpha=np.ones(2), beta=np.ones(2))
 
     @pytest.mark.parametrize("delta", [5.0, 0.0, math.nan, "x", 0.3j])
@@ -234,7 +247,9 @@ class TestAngleSchedule:
         # angle, given as a list or an array, must not lose its imaginary part to a cast
         for given in (np.array([1.0, bad]), [1.0, bad]):
             angles = {"alpha": np.ones(2), "beta": np.ones(2), field: given}
-            with pytest.raises(ValueError, match="alpha and beta must be finite"):
+            complex_rule = f"{field} must be an array of real numbers, got"
+            rule = "alpha and beta must be finite" if isinstance(bad, float) else complex_rule
+            with pytest.raises(ValueError, match=rule):
                 AngleSchedule(w=0.5, **angles)
 
 

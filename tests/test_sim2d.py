@@ -2,6 +2,7 @@
 
 import cmath
 import math
+import re
 
 import numpy as np
 import pytest
@@ -216,7 +217,9 @@ class TestRunSearchKernel:
         assert empty.r_amp.shape == empty.t_amp.shape == (0,)
 
     @pytest.mark.parametrize(
-        "x", [1.5, math.nan, np.array([0.2, math.nan]), np.array([[0.5], [1.5]]), np.array([0.5 + 0.3j]), 0.5 + 0.3j]
+        "x",
+        [1.5, math.nan, np.array([0.2, math.nan]), np.array([[0.5], [1.5]]), np.array([0.5 + 0.3j]), 0.5 + 0.3j,
+         [0.2, [0.5]], None, "0.5", math.inf],
     )
     def test_domain(self, x):
         with pytest.raises(ValueError, match=r"x must be in \[0, 1\]"):
@@ -269,11 +272,16 @@ class TestClosedFormProbability:
             (1.2, 0.1, 3), (math.nan, 0.1, 3), (0.5, 0.0, 3), (0.5, 0.1, 0), (0.5, 0.1, 50_000),
             (np.array([0.5, 1.2]), 0.1, 3), (np.array([-0.1, 0.5]), 0.1, 3), (np.array([0.2, math.nan]), 0.1, 3),
             (0.5, 0.3, 2.5), (0.5, 0.3, 2.0), (np.array([0.5 + 0.3j]), 0.3, 2), (0.5 + 0.3j, 0.3, 2),
-            (0.5, 0.3, None),
+            (0.5, 0.3, None), ([0.2, [0.5]], 0.3, 2),
         ],
     )
     def test_domain(self, lam, w, l):
-        with pytest.raises(ValueError):
+        # each message names the input it refuses
+        rules = (
+            r"^(lambda must be in \[0, 1\]|w must be a real number in \(0, 1\)"
+            r"|l must be an integer in 1\.\.49999), got "
+        )
+        with pytest.raises(ValueError, match=rules):
             success_probability_closed(lam, w, l)
 
     def test_empty_array(self):
@@ -335,8 +343,9 @@ class TestClassicGroverOptimal:
         assert classic_grover_optimal(math.sin(math.pi / 8.0)) == 2
 
     def test_domain(self):
-        for lam in (0.0, 1.0, -0.3, 1.5, math.nan, 0.5 + 0.1j, 0.5 + 0j, "0.5", None, np.array([0.3, 0.5])):
-            with pytest.raises(ValueError, match=r"lambda must be in \(0, 1\)"):
+        for lam in (0.0, 1.0, -0.3, 1.5, math.nan, 0.5 + 0.1j, 0.5 + 0j, "0.5", None, np.array([0.3, 0.5]), math.inf,
+                    -math.inf, [0.5, [0.5]]):
+            with pytest.raises(ValueError, match=re.escape(f"lambda must be a real number in (0, 1), got {lam!r}")):
                 classic_grover_optimal(lam)
 
     def test_near_optimal_success(self):

@@ -36,3 +36,25 @@ def test_every_definition_is_referenced_in_src():
     assert defined
     unreferenced = [f"{module}:{name}" for module, name in defined if name not in used]
     assert not unreferenced, f"defined in src but referenced by no src module: {unreferenced}"
+
+
+def _qualified_uses(tree):
+    # "module.name" for every attribute read on a plain name and every from-import
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name):
+            yield f"{node.value.id}.{node.attr}"
+        elif isinstance(node, ast.ImportFrom):
+            yield from (f"{node.module}.{alias.name}" for alias in node.names)
+
+
+def test_count_and_no_complex_cast_rules_live_in_complexpoly():
+    # check_int is the one caller of operator.index, and check_real keeps complex input
+    # from being cast; a call anywhere else would be a second copy of one of those rules.
+    # The scan must find check_int's own call, or it would pass on any source
+    homes = {
+        path.name
+        for path in sorted(SRC.glob("*.py"))
+        for use in _qualified_uses(ast.parse(path.read_text(), filename=str(path)))
+        if use == "operator.index" or use.endswith(".iscomplexobj")
+    }
+    assert homes == {"complexpoly.py"}, f"operator.index or iscomplexobj used outside complexpoly.py: {homes}"

@@ -100,7 +100,8 @@ class TestMarkedSet:
 
     @pytest.mark.parametrize("n_qubits", [-1, 0])
     def test_rejects_register_out_of_range(self, n_qubits):
-        with pytest.raises(ValueError, match=f"n_qubits must be in 1..{MAX_QUBITS}, got {n_qubits}"):
+        rule = f"n_qubits must be an integer in 1..{MAX_QUBITS}, got {n_qubits}"
+        with pytest.raises(ValueError, match=re.escape(rule)):
             MarkedSet(indices=(0,), n_qubits=n_qubits)
 
     def test_accepts_numpy_integers(self):
@@ -261,7 +262,7 @@ class TestFullSearch:
 
     def test_rejects_non_integer_register(self):
         marked = MarkedSet(indices=(1,), n_qubits=5)
-        with pytest.raises(ValueError, match="n_qubits must be an integer, got 5.0"):
+        with pytest.raises(ValueError, match=re.escape(f"n_qubits must be an integer in 1..{MAX_QUBITS}, got 5.0")):
             run_full_search(5.0, marked, make_schedule(0.2, 3))
 
     def test_zero_marked_phase_leaves_uniform_overlap(self):

@@ -3,6 +3,7 @@ references, its batched tiling checks against broken maps, and its one
 reduction rule (worst deviation, floored at 0.0, a NaN fails the check)."""
 
 import math
+import re
 from collections.abc import Iterator
 from itertools import combinations
 
@@ -209,7 +210,7 @@ def test_non_integer_max_l_rejected(max_L):
 @pytest.mark.parametrize("seed", ["0.5", 0.3, np.array(0.3), True, np.array([]), None])
 def test_non_integer_seed_rejected(seed):
     # None would draw fresh entropy, so the run would not reproduce
-    with pytest.raises(ValueError, match="seed must be an integer"):
+    with pytest.raises(ValueError, match=re.escape(f"seed must be a non-negative integer, got {seed!r}")):
         run_verification(3, seed)
 
 
