@@ -29,7 +29,10 @@ Python scripts call it many times in one process.  The argument parser is
 built once per process, on the first ``main`` call, and reused, so those
 calls skip the argparse rebuild and hold no parser per call; a single
 ``fpsearch`` run builds it once either way.  Handlers look up this module's
-globals when they run.
+globals when they run.  The invariant suite (``verify``, with ``combinat`` and
+``numpy.polynomial``) is imported by ``cmd_verify`` on its first call, so no
+other subcommand pays for loading it; tests that replace the suite patch
+``fpsearch.verify.run_verification``, where that import reads it.
 
 Every subcommand takes ``--output``; only ``sweep`` takes ``--format csv|json``,
 the others write JSON.  ``angles``, ``sweep``, ``simulate`` and ``statevector``
@@ -59,7 +62,6 @@ from .complexpoly import check_int
 from .schedule import SearchParams, make_schedule, schedule_for
 from .sim2d import _BLOCK, run_search, success_probability_closed
 from .statevector import MarkedSet, check_qubits, run_full_search
-from .verify import run_verification
 
 EXIT_OK = 0
 EXIT_VERIFY_FAILED = 1
@@ -280,6 +282,8 @@ def cmd_statevector(args) -> int:
 
 
 def cmd_verify(args) -> int:
+    from .verify import run_verification  # only here, so that the CLI's start-up does not load the suite
+
     results = run_verification(max_L=args.max_L, seed=args.seed)
     _emit_json([r.to_dict() for r in results], args.output)
     failed = [r for r in results if not r.passed]

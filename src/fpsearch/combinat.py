@@ -32,7 +32,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .complexpoly import check_int, check_odd, check_scalar, tan_table
+from .complexpoly import check_int, check_odd, check_scalar, read_array, tan_table
 
 MAX_ENUM_L = 15
 MAX_COMPARE_L = 11
@@ -75,8 +75,8 @@ def combinations_array(L: int, k: int) -> np.ndarray:
 
 def _read_bits(bits) -> tuple:
     # one tiling (1-D) or a (tilings, L) matrix of them, and L; dominos overlap when
-    # bits d and d+1 (mod L) are both set.  numpy itself rejects a ragged list
-    arr = np.asarray(bits)
+    # bits d and d+1 (mod L) are both set
+    arr = read_array(bits, "tilings must be a bool array")
     if arr.dtype != bool:
         raise ValueError(f"tilings must be a bool array, got dtype {arr.dtype}")
     if arr.ndim not in (1, 2):

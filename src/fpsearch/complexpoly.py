@@ -16,7 +16,8 @@ of ``complex128`` indexed by degree.  One reader owns each input rule:
 a range, such as a degree L, ``check_real`` every real array, such as x and
 lambda or a schedule's angles, and ``check_scalar`` every real scalar in an
 interval, such as w, delta, lambda and gamma.  Each raises ValueError with one
-message per input, "<rule>, got <value>".
+message per input, "<rule>, got <value>"; ``read_array`` gives an array that
+numpy cannot shape, such as a ragged list, that message too.
 """
 
 from __future__ import annotations
@@ -50,17 +51,22 @@ def check_int(value, what: str, lo: int | None = None, hi: int | None = None) ->
     return n
 
 
+def read_array(value, what: str) -> np.ndarray:
+    """``np.asarray(value)``, raising "<what>, got <value>" where numpy cannot shape it, as a ragged list."""
+    try:
+        return np.asarray(value)
+    except (TypeError, ValueError):
+        # numpy's own error, which names neither the input nor its value
+        raise ValueError(f"{what}, got {value!r}") from None
+
+
 def check_real(value, what: str) -> np.ndarray:
     """Read a real scalar or array as float64; a float64 array is kept without a copy.
 
     Complex input raises, where a cast would drop its imaginary part, and so
     does a string, an object array or a ragged list, which numpy cannot shape.
     """
-    try:
-        arr = np.asarray(value)
-    except (TypeError, ValueError):
-        # numpy's own error, such as on a ragged list
-        raise ValueError(f"{what}, got {value!r}") from None
+    arr = read_array(value, what)
     if arr.dtype.kind not in "biuf":
         raise ValueError(f"{what}, got {value!r}")
     return arr.astype(float, copy=False)
@@ -150,7 +156,7 @@ def quasi_cheb_recursive(params: QuasiChebParams, x):
     a_{n-1} through n = 2l.  The result is real up to roundoff; the imaginary
     residue stays below 1e-9 * (1 + |a_L|).
     """
-    arr = np.asarray(x)
+    arr = read_array(x, "x must be a real or complex number")
     # a string, set or oversized int is no number: a cast would parse, raise TypeError or overflow
     if arr.dtype.kind not in "biufc":
         raise ValueError(f"x must be a real or complex number, got {x!r}")

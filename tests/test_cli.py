@@ -573,7 +573,7 @@ class TestVerify:
         assert err == "error: seed must be a non-negative integer, got -1\n"
 
     def test_failure_exit_path(self, capsys, monkeypatch):
-        import fpsearch.cli as cli_module
+        import fpsearch.verify as verify_module
         from fpsearch.verify import CheckResult
 
         def broken_suite(max_L, seed):
@@ -584,7 +584,8 @@ class TestVerify:
                 )
             ]
 
-        monkeypatch.setattr(cli_module, "run_verification", broken_suite)
+        # cmd_verify imports the suite when it runs, so it reads the patched name
+        monkeypatch.setattr(verify_module, "run_verification", broken_suite)
         code, out, err = run_cli(capsys, "verify", "--max-L", "3")
         assert code == EXIT_VERIFY_FAILED
         assert "synthetic_failure" in err
@@ -672,3 +673,11 @@ class TestParser:
         assert EXIT_VERIFY_FAILED == 1
         assert EXIT_USAGE == 2
         assert EXIT_IO == 3
+
+    def test_import_loads_no_verification_suite(self):
+        # only cmd_verify imports the suite, so every other command starts without it
+        heavy = ("fpsearch.verify", "fpsearch.combinat", "numpy.polynomial")
+        code = f"import sys, fpsearch.cli; print([m for m in {heavy!r} if m in sys.modules])"
+        done = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                              env=TestSplitSweep.cli_env(), check=True)
+        assert done.stdout == "[]\n"

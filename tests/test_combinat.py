@@ -82,6 +82,11 @@ class TestTiling:
         star = enumerate_tilings(7, wrap=True)
         for j in (2**70, -(2**70), np.uint64(2**63)):
             assert np.array_equal(rotation_orbit(star, j), rotation_orbit(star, int(j) % 7))
+        # a ragged list, which numpy cannot shape, is named with the rule it breaks
+        ragged = [[True, False, False], [False]]
+        for read in (lambda b: tiling_weight(b, model), lambda b: rotation_orbit(b, 1), reflect):
+            with pytest.raises(ValueError, match=re.escape(f"tilings must be a bool array, got {ragged!r}")):
+                read(ragged)
 
     def test_pieces_cover_every_position_once(self):
         for L in (3, 7, 9):

@@ -235,10 +235,13 @@ class TestRecursion:
         with pytest.raises(ValueError, match="guarded to finite"):
             quasi_cheb_recursive(QuasiChebParams(0.5, 3), x)
 
-    @pytest.mark.parametrize("x", ["0.5", {0.5}, object(), 10**400], ids=["str", "set", "object", "10**400"])
+    @pytest.mark.parametrize(
+        "x", ["0.5", {0.5}, object(), 10**400, [0.2, [0.5]]], ids=["str", "set", "object", "10**400", "ragged"]
+    )
     def test_rejects_non_numeric_x(self, x):
-        # a complex cast would parse the string and raise TypeError or OverflowError on the rest
-        with pytest.raises(ValueError, match="x must be a real or complex number"):
+        # a complex cast would parse the string and raise TypeError or OverflowError on the rest;
+        # numpy cannot shape a ragged list at all
+        with pytest.raises(ValueError, match=re.escape(f"x must be a real or complex number, got {x!r}")):
             quasi_cheb_recursive(QuasiChebParams(0.5, 3), x)
 
     @settings(max_examples=60, deadline=None)
