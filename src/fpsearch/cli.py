@@ -29,9 +29,9 @@ Python scripts call it many times in one process.  The argument parser is
 built once per process, on the first ``main`` call, and reused, so those
 calls skip the argparse rebuild and hold no parser per call; a single
 ``fpsearch`` run builds it once either way.  Handlers look up this module's
-globals when they run.  The invariant suite (``verify``, with ``combinat`` and
-``numpy.polynomial``) is imported by ``cmd_verify`` on its first call, so no
-other subcommand pays for loading it; tests that replace the suite patch
+globals when they run.  The invariant suite (``verify``, with ``combinat`` and,
+on numpy >= 2, ``numpy.polynomial``) is imported by ``cmd_verify`` on its first
+call, so no other subcommand pays for loading it; tests that replace the suite patch
 ``fpsearch.verify.run_verification``, where that import reads it.
 
 Every subcommand takes ``--output``; only ``sweep`` takes ``--format csv|json``,

@@ -76,9 +76,7 @@ def combinations_array(L: int, k: int) -> np.ndarray:
 def _read_bits(bits) -> tuple:
     # one tiling (1-D) or a (tilings, L) matrix of them, and L; dominos overlap when
     # bits d and d+1 (mod L) are both set
-    arr = read_array(bits, "tilings must be a bool array")
-    if arr.dtype != bool:
-        raise ValueError(f"tilings must be a bool array, got dtype {arr.dtype}")
+    arr = read_array(bits, "tilings must be a bool array", "b")
     if arr.ndim not in (1, 2):
         raise ValueError(f"tilings must be 1-D or 2-D, got {arr.ndim} dimensions")
     L = check_odd(arr.shape[-1], 3, None, "tilings must have an odd number L >= 3 of positions")

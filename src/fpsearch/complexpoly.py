@@ -16,8 +16,9 @@ of ``complex128`` indexed by degree.  One reader owns each input rule:
 a range, such as a degree L, ``check_real`` every real array, such as x and
 lambda or a schedule's angles, and ``check_scalar`` every real scalar in an
 interval, such as w, delta, lambda and gamma.  Each raises ValueError with one
-message per input, "<rule>, got <value>"; ``read_array`` gives an array that
-numpy cannot shape, such as a ragged list, that message too.
+message per input, "<rule>, got <value>"; the array readers go through
+``read_array``, which also gives that message to an input numpy cannot shape,
+such as a ragged list.
 """
 
 from __future__ import annotations
@@ -51,13 +52,19 @@ def check_int(value, what: str, lo: int | None = None, hi: int | None = None) ->
     return n
 
 
-def read_array(value, what: str) -> np.ndarray:
-    """``np.asarray(value)``, raising "<what>, got <value>" where numpy cannot shape it, as a ragged list."""
+def read_array(value, what: str, kinds: str) -> np.ndarray:
+    """``np.asarray(value)`` of a dtype kind in ``kinds``, else ValueError "<what>, got <value>".
+
+    An input numpy cannot shape, such as a ragged list, raises the same message
+    in place of numpy's own error, which names neither the input nor its value.
+    """
     try:
-        return np.asarray(value)
+        arr = np.asarray(value)
     except (TypeError, ValueError):
-        # numpy's own error, which names neither the input nor its value
-        raise ValueError(f"{what}, got {value!r}") from None
+        arr = None
+    if arr is None or arr.dtype.kind not in kinds:
+        raise ValueError(f"{what}, got {value!r}")
+    return arr
 
 
 def check_real(value, what: str) -> np.ndarray:
@@ -66,10 +73,7 @@ def check_real(value, what: str) -> np.ndarray:
     Complex input raises, where a cast would drop its imaginary part, and so
     does a string, an object array or a ragged list, which numpy cannot shape.
     """
-    arr = read_array(value, what)
-    if arr.dtype.kind not in "biuf":
-        raise ValueError(f"{what}, got {value!r}")
-    return arr.astype(float, copy=False)
+    return read_array(value, what, "biuf").astype(float, copy=False)
 
 
 def check_scalar(value, what: str, inside) -> float:
@@ -156,11 +160,8 @@ def quasi_cheb_recursive(params: QuasiChebParams, x):
     a_{n-1} through n = 2l.  The result is real up to roundoff; the imaginary
     residue stays below 1e-9 * (1 + |a_L|).
     """
-    arr = read_array(x, "x must be a real or complex number")
     # a string, set or oversized int is no number: a cast would parse, raise TypeError or overflow
-    if arr.dtype.kind not in "biufc":
-        raise ValueError(f"x must be a real or complex number, got {x!r}")
-    arr = arr.astype(complex, copy=False)
+    arr = read_array(x, "x must be a real or complex number", "biufc").astype(complex, copy=False)
     # written so that a NaN fails it: NaN <= 10 is False
     if not np.all(np.abs(arr) <= 10.0):
         raise ValueError("recursion evaluation is guarded to finite |x| <= 10")
