@@ -50,7 +50,6 @@ import argparse
 import contextlib
 import functools
 import json
-import math
 import mmap
 import os
 import sys
@@ -58,7 +57,7 @@ import tempfile
 
 import numpy as np
 
-from .complexpoly import check_int
+from .complexpoly import check_int, complement
 from .schedule import SearchParams, make_schedule, schedule_for
 from .sim2d import _BLOCK, run_search, success_probability_closed
 from .statevector import MarkedSet, check_qubits, run_full_search
@@ -144,7 +143,7 @@ def _sweep_blocks(lams, closed, sched, row: str, sep: str, start: int, stop: int
     # so that a NaN counts, and survives the minimum
     for lo in range(start - start % _BLOCK, stop, _BLOCK):
         a, b = max(lo, start), min(lo + _BLOCK, stop)
-        x = np.sqrt(np.maximum(0.0, 1.0 - np.square(lams[lo:lo + _BLOCK])))
+        x = complement(lams[lo:lo + _BLOCK])
         sim = np.abs(run_search(x, sched).t_amp)[a - lo:b - lo]
         lam, gap = lams[a:b], np.abs(sim - closed[a:b])
         acc[0] += np.count_nonzero(~(gap <= SIM_CLOSED_TOL))
@@ -236,7 +235,7 @@ def cmd_simulate(args) -> int:
     sched = _schedule_from_args(args)
     # the closed form runs first: it is what rejects a lambda outside [0, 1]
     p_closed = success_probability_closed(args.lam, sched.w, sched.l)
-    p_sim = abs(run_search(math.sqrt(max(0.0, 1.0 - args.lam * args.lam)), sched).t_amp)
+    p_sim = abs(run_search(complement(args.lam), sched).t_amp)
     payload = {
         "lambda": args.lam,
         "w": sched.w,

@@ -256,14 +256,14 @@ def tangent_prefix_terms(L: int, orders):
 def vieta_terms(L: int):
     """Products prod i tan(d pi / L) over every k-subset of [L], for k = 0..L in turn.
 
-    Yields one array per size k, its subsets in itertools order, all from
-    one pass over the 2^L subsets.  The real products prod tan(d pi / L) of
-    every subset are built by doubling: element d = 0, 1, .. joins as the
-    new lowest bit of the subset mask (bit L-1-d), so each product
-    multiplies its tangents in increasing d, and the size-k masks taken
-    largest-first come in itertools order.  Each size's products are then
-    multiplied by i^k, which gives the same values as multiplying the
-    factors i tan(d pi / L) one by one.  L is checked when called.
+    Returns a tuple of one array per size k, its subsets in itertools order,
+    all from one pass over the 2^L subsets.  The real products
+    prod tan(d pi / L) of every subset are built by doubling: element
+    d = 0, 1, .. joins as the new lowest bit of the subset mask (bit L-1-d),
+    so each product multiplies its tangents in increasing d, and the size-k
+    masks taken largest-first come in itertools order.  Each size's products
+    are then multiplied by i^k, which gives the same values as multiplying
+    the factors i tan(d pi / L) one by one.
     """
     L = _check_L(L, MAX_VIETA_L, "the subset sum")
     # the product and size of every subset mask, filled in place: element d
@@ -274,7 +274,7 @@ def vieta_terms(L: int):
         step = 1 << (L - d)
         np.multiply(products[::step], t[d], out=products[step // 2 :: step])
         np.add(sizes[::step], 1, out=sizes[step // 2 :: step])
-    return (products[sizes == k][::-1] * (1 + 0j, 1j, -1 + 0j, -1j)[k % 4] for k in range(L + 1))
+    return tuple(products[sizes == k][::-1] * (1 + 0j, 1j, -1 + 0j, -1j)[k % 4] for k in range(L + 1))
 
 
 def rotation_orbit(bits, j: int) -> np.ndarray:

@@ -8,7 +8,9 @@ denominator split of that ratio: the numerator polynomial satisfies
 N_L(x) = gamma^L T_L(x/gamma) and the denominator constant satisfies
 D_L(gamma) = gamma^L T_L(1/gamma).  ``tan_table`` is the one source of the
 tangents tan(n pi / L): the twists and twist angles here, the schedule angles
-and the tiling weights are all taken from it.
+and the tiling weights are all taken from it.  ``complement`` is the one source
+of the complementary amplitude sqrt(1 - v^2): gamma from w (and w from gamma),
+x from lambda, the simulator's s from x and the floor sqrt(1 - delta^2).
 
 Complex scalars are Python ``complex``; coefficient vectors are numpy arrays
 of ``complex128`` indexed by degree.  One reader owns each input rule:
@@ -120,9 +122,21 @@ def tan_table(L: int) -> np.ndarray:
     return np.tan(np.arange(L) * math.pi / L)
 
 
+def complement(v):
+    """sqrt(1 - v^2) for v in [0, 1]: a Python float for a scalar, an array elementwise.
+
+    The complementary amplitude: gamma from w and w from gamma, x from lambda,
+    s from x and the guarantee's floor from delta.  fl(v * v) <= 1 for v <= 1,
+    so the difference is never negative, and a scalar gives the bits of
+    ``math.sqrt(1.0 - v * v)``.
+    """
+    out = np.sqrt(1.0 - np.square(v))
+    return float(out) if out.ndim == 0 else out
+
+
 def twists(params: QuasiChebParams) -> np.ndarray:
     """Scaled tangents t_n = sqrt(1 - gamma^2) tan(n pi / L) for n = 0..L-1."""
-    return math.sqrt(1.0 - params.gamma * params.gamma) * tan_table(params.L)
+    return complement(params.gamma) * tan_table(params.L)
 
 
 def phi_angles(params: QuasiChebParams) -> np.ndarray:

@@ -8,7 +8,9 @@ quasi-Chebyshev value a_L(x), giving the closed-form success amplitude
 
     P(lambda) = sqrt(1 - T_L^2(sqrt(1-lambda^2)/gamma) / T_L^2(1/gamma)),
 
-with gamma = sqrt(1 - w^2) and lambda = sqrt(1 - x^2).
+with gamma = sqrt(1 - w^2) and lambda = sqrt(1 - x^2).  Each of gamma, x
+(from lambda) and s below is ``complexpoly.complement``, the one spelling of
+sqrt(1 - v^2).
 
 With s = sqrt(1 - x^2) and the real involution R(x) = [[x, s], [s, -x]],
 which sends |r> to the initial state R(x)|r> = (x, s), iteration k is
@@ -74,7 +76,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .complexpoly import chebyshev_T, check_real
+from .complexpoly import chebyshev_T, check_real, complement
 from .schedule import AngleSchedule, check_unit, check_w_l
 
 
@@ -155,17 +157,18 @@ def run_search(x, schedule: AngleSchedule) -> TwoDimState:
     """Apply the scheduled iterations, index 1 first, to the initial state R(x)|r>.
 
     A scalar x gives complex amplitudes; an array of x gives arrays of x's
-    shape, one simulation per entry.  s = sqrt(1 - x^2) is taken from x.
+    shape, one simulation per entry.  s = sqrt(1 - x^2) is taken from x by
+    ``complexpoly.complement``, which also gives callers x from lambda.
     """
     xs = _check_x(x)
-    ss = np.sqrt(np.maximum(0.0, 1.0 - xs * xs))
+    ss = complement(xs)
     # e^{i alpha_k} and c_k = e^{-i beta_k} - 1, k = 1..l
     beta_phase = np.exp(-1j * schedule.beta)
     alpha_phase, c = np.exp(1j * schedule.alpha), beta_phase - 1.0
     # a product of unit phases: e^{i sum beta} would round a sum of size ~pi*l
     glob = complex(math.prod(beta_phase.tolist())).conjugate()
     if xs.ndim == 0:
-        x0, s0 = float(xs), float(ss)
+        x0, s0 = float(xs), ss
         r, t = _iterate(x0, s0, x0, s0, zip(alpha_phase.tolist(), c.tolist()))
         return TwoDimState(r_amp=glob * r, t_amp=glob * t)
     # complex copies: numpy has no real-times-complex loop and would convert x and s at every product
@@ -193,9 +196,9 @@ def success_probability_closed(lam, w: float, l: int):
     """
     lams = _check_x(lam, "lambda")
     l = check_w_l(w, l)
-    gamma = math.sqrt(1.0 - w * w)
+    gamma = complement(w)
     L = 2 * l + 1
-    x = np.sqrt(np.maximum(0.0, 1.0 - lams * lams))
+    x = complement(lams)
     ratio = chebyshev_T(L, x / gamma) / chebyshev_T(L, 1.0 / gamma)
     # the ratio can exceed 1 by roundoff only when it is 1 up to eps; fmax also
     # turns the NaN of a cosh overflow into 0 (ROADMAP item 1)

@@ -15,7 +15,6 @@ suite lives here: the modules it checks return values only, never a verdict.
 from __future__ import annotations
 
 import cmath
-import itertools
 import math
 from dataclasses import dataclass
 
@@ -154,7 +153,7 @@ def check_schedule_relations() -> CheckResult:
     for w in (0.05, 0.2, 0.5, 0.8):
         for l in (1, 2, 5, 12):
             sched = schedule.make_schedule(w, l)
-            params = complexpoly.QuasiChebParams(gamma=math.sqrt(1.0 - w * w), L=sched.L)
+            params = complexpoly.QuasiChebParams(gamma=complexpoly.complement(w), L=sched.L)
             # phi_{L-n} = -phi_n and phi_n equals the twist angle; phi is taken from alpha and
             # beta, so these two carry phi_{2k-1} = pi - alpha_k and phi_{2k} = beta_k + pi
             phi = sched.phi
@@ -167,7 +166,7 @@ def check_query_count_bound() -> CheckResult:
     for w in (0.02, 0.05, 0.1, 0.3, 0.5, 0.8, 0.95):
         for delta in (0.02, 0.1, 0.3, 0.5, 0.9):
             L = 2 * schedule.min_iterations(schedule.SearchParams(w=w, delta=delta)) + 1
-            gamma = math.sqrt(1.0 - w * w)
+            gamma = complexpoly.complement(w)
             devs.append(math.acosh(1.0 / delta) / math.acosh(1.0 / gamma) - L)
     return _result("query_count_bound", None, {}, devs, 0.0)
 
@@ -184,7 +183,7 @@ def check_three_way_agreement() -> CheckResult:
     for w in (0.1, 0.4, 0.8):
         for l in (1, 3, 7):
             sched = schedule.make_schedule(w, l)
-            gamma = math.sqrt(1.0 - w * w)
+            gamma = complexpoly.complement(w)
             params = complexpoly.QuasiChebParams(gamma=gamma, L=sched.L)
             sim = np.abs(sim2d.run_search(xs, sched).r_amp)
             rec = np.abs(complexpoly.quasi_cheb_recursive(params, xs))
@@ -208,7 +207,7 @@ def check_fixed_point_guarantee() -> CheckResult:
     for w in (0.05, 0.1, 0.3):
         for delta in (0.1, 0.3, 0.5):
             l = schedule.min_iterations(schedule.SearchParams(w=w, delta=delta))
-            target = math.sqrt(1.0 - delta * delta)
+            target = complexpoly.complement(delta)
             devs.append(target - sim2d.success_probability_closed(np.linspace(w, 1.0, 200), w, l))
     return _result("fixed_point_guarantee", None, {}, devs, 1e-12)
 
@@ -219,7 +218,7 @@ def check_classic_grover_stop() -> CheckResult:
         # the plain search: alpha_k = beta_k = pi, stopped at the optimal count
         pi = np.full(sim2d.classic_grover_optimal(lam), math.pi)
         plain = schedule.AngleSchedule(w=lam, alpha=pi, beta=pi)
-        prob = abs(sim2d.run_search(math.sqrt(1.0 - lam * lam), plain).t_amp) ** 2
+        prob = abs(sim2d.run_search(complexpoly.complement(lam), plain).t_amp) ** 2
         devs.append(max(1.0 - lam * lam, lam * lam) - prob)
     return _result("classic_grover_stop", None, {}, devs, 1e-12)
 
@@ -235,7 +234,7 @@ def check_subspace_reduction(rng) -> CheckResult:
             w = max(0.05, 0.9 * marked.lam)
             sched = schedule.schedule_for(schedule.SearchParams(w=w, delta=0.3))
             full = statevector.run_full_search(n, marked, sched)
-            x = math.sqrt(max(0.0, 1.0 - marked.lam**2))
+            x = complexpoly.complement(marked.lam)
             two_dim = abs(sim2d.run_search(x, sched).t_amp)
             devs.append(abs(math.sqrt(full.success_probability) - two_dim))
     return _result("subspace_reduction", None, {"n_range": [2, 8]}, devs, 1e-10)
@@ -289,7 +288,7 @@ def check_weight_totals(max_L: int) -> CheckResult:
         # the star tilings total 2 N_L(x), the line tilings with modified squares N_L(x)
         parts = [(combinat.enumerate_tilings(L, wrap), 2.0 if wrap else 1.0, not wrap) for wrap in (True, False)]
         for gamma in (0.3, 0.7, 1.0):
-            w = math.sqrt(1.0 - gamma * gamma)
+            w = complexpoly.complement(gamma)
             coeffs = complexpoly.n_poly_coeffs(complexpoly.QuasiChebParams(gamma=gamma, L=L))
             refs = npoly.polyval(xs, coeffs)
             for bits, share, modified in parts:
@@ -398,7 +397,7 @@ def check_tangent_base_cases(max_L: int) -> CheckResult:
         devs.append(abs(complex(combinat.tangent_sum_terms(L, range(L)).sum())))
         # size-(L-1) subsets reduce to the all-subsets sum
         full_minus_one = complex(combinat.tangent_sum_terms(L, [n for n in range(L) if n != 2]).sum())
-        all_subsets = next(itertools.islice(combinat.vieta_terms(L), L - 1, None))
+        all_subsets = combinat.vieta_terms(L)[L - 1]
         devs.append(abs(full_minus_one - complex(all_subsets.sum())))
     return _result("tangent_base_cases", degrees[-1], {}, devs, 1e-8)
 

@@ -423,6 +423,14 @@ class TestSimulate:
         assert code == EXIT_USAGE
         assert err.startswith("error:") and "49999" in err
 
+    @pytest.mark.parametrize("lam", ["0", "0.01", "1"])
+    def test_ends_of_the_unit_interval(self, capsys, lam):
+        # lambda = 0 and 1 make x = 1 and 0, and lambda = w is the guarantee's edge
+        code, out, _ = run_cli(capsys, "simulate", "--w", "0.01", "--delta", "0.01", "--lambda", lam)
+        assert code == EXIT_OK
+        payload = json.loads(out)
+        assert math.isfinite(payload["p_sim"]) and math.isfinite(payload["p_closed"])
+
 
 class TestSimClosedGate:
     # each case once printed a sim-vs-closed gap above 1e-9 and exited 0; the

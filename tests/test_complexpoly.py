@@ -17,6 +17,7 @@ from fpsearch.complexpoly import (
     check_int,
     check_scalar,
     chebyshev_T,
+    complement,
     d_product,
     n_poly_coeffs,
     phi_angles,
@@ -136,6 +137,20 @@ class TestChebyshevT:
             chebyshev_T(3, x)
         with pytest.raises(ValueError, match="x must be real, got"):
             quasi_cheb_closed(QuasiChebParams(gamma=0.5, L=3), x)
+
+
+class TestComplement:
+    def test_scalar_and_array(self):
+        assert type(complement(0.6)) is float and type(complement(np.float64(0.6))) is float
+        out = complement(np.array([0.0, 1.0]))
+        assert isinstance(out, np.ndarray) and out.tolist() == [1.0, 0.0]
+        assert complement(0.0) == 1.0 and complement(1.0) == 0.0
+
+    def test_bits_of_the_scalar_formula(self):
+        vs = np.linspace(0.0, 1.0, 10_001)
+        expected = [math.sqrt(1.0 - v * v) for v in vs.tolist()]
+        assert complement(vs).tolist() == expected
+        assert [complement(v) for v in vs.tolist()] == expected
 
 
 class TestParams:

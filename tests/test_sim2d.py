@@ -329,6 +329,49 @@ class TestClosedFormProbability:
         assert np.max(np.abs(sim - success_probability_closed(lams, w, l))) <= 1e-9
 
 
+def _delta_star(w, l):
+    # delta* = 1 / T_L(1 / gamma) = 2 e^{-La} / (1 + e^{-2La}), as acosh(1 / gamma) = a =
+    # log1p(w) - log(gamma): no cosh(L acosh) is evaluated, so this does not lean on the
+    # closed form.  gamma is sqrt((1 - w)(1 + w)), which keeps its digits at small w
+    gamma = math.sqrt((1.0 - w) * (1.0 + w))
+    e = math.exp(-(2 * l + 1) * (math.log1p(w) - math.log(gamma)))
+    return gamma, 2.0 * e / (1.0 + e * e)
+
+
+class TestGuaranteeWhereTight:
+    # at the Chebyshev extrema x_j = gamma cos(j pi / L), |T_L(x_j / gamma)| = 1, so the
+    # simulated amplitude equals the floor sqrt(1 - delta*^2) exactly there; each
+    # lambda_j >= w.  j = 0 (lambda = w) is left out: there x rounds near 1 at small w
+    # and s = sqrt(1 - x^2) loses digits (ROADMAP item 9).  Measured max gaps: 1.6e-15,
+    # 4.2e-14, 2.3e-13, 4.4e-13, 7.7e-12 and 6.9e-12, in parameter order
+    @pytest.mark.parametrize(
+        "w, l, step, bound",
+        [
+            (0.08, 12, 1, 1e-13),
+            (0.01, 265, 1, 1e-13),
+            # delta* underflows to 0, so the floor is 1
+            (0.5, 2000, 1, 2e-12),
+            (0.001, 2650, 1, 2e-12),
+            # 500 points take the blocked driver, 50 the grouped one
+            (5.31e-5, 49_999, 100, 5e-11),
+            (5.31e-5, 49_999, 1000, 5e-11),
+        ],
+    )
+    def test_simulation_meets_the_floor(self, w, l, step, bound):
+        gamma, delta = _delta_star(w, l)
+        xs = gamma * np.cos(np.arange(1, l + 1, step) * math.pi / (2 * l + 1))
+        p = np.abs(run_search(xs, make_schedule(w, l)).t_amp)
+        assert np.max(np.abs(p - math.sqrt(1.0 - delta * delta))) <= bound
+
+    @pytest.mark.parametrize("w, l", [(0.08, 12), (0.01, 265)])
+    def test_delta_star_matches_chebyshev(self, w, l):
+        # measured 2.4e-14 and 4.4e-12 relative.  At smaller w the cosh(L acosh) form
+        # drifts from the log form: 5.5e-10 at (0.001, 2650) and 3.0e-7 at
+        # (5.31e-5, 49999), the closed form's defect (ROADMAP item 1)
+        gamma, delta = _delta_star(w, l)
+        assert delta == pytest.approx(1.0 / chebyshev_T(2 * l + 1, 1.0 / gamma), rel=1e-11, abs=0.0)
+
+
 class TestClassicGroverOptimal:
     def test_tiny_amplitude(self):
         assert classic_grover_optimal(0.1) == 7

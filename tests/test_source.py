@@ -58,3 +58,50 @@ def test_count_and_no_complex_cast_rules_live_in_complexpoly():
         if use == "operator.index" or use.endswith(".iscomplexobj")
     }
     assert homes == {"complexpoly.py"}, f"operator.index or iscomplexobj used outside complexpoly.py: {homes}"
+
+
+def _callee(call):
+    # the called name, bare or as an attribute: "sqrt" for sqrt, math.sqrt and np.sqrt
+    func = call.func
+    return func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)
+
+
+def _is_square(node):
+    # a * a, a ** 2 or square(a), for any expression a
+    if isinstance(node, ast.BinOp) and isinstance(node.op, ast.Mult):
+        return ast.dump(node.left) == ast.dump(node.right)
+    if isinstance(node, ast.BinOp) and isinstance(node.op, ast.Pow):
+        return isinstance(node.right, ast.Constant) and node.right.value == 2
+    return isinstance(node, ast.Call) and _callee(node) == "square"
+
+
+def _complement_spellings(tree):
+    # the line of every sqrt(1 - v^2), bare or clamped as sqrt(max(0.0, 1 - v^2)) or
+    # sqrt(maximum(0.0, 1 - v^2)); fmax is not a clamp this scan matches
+    for node in ast.walk(tree):
+        if not (isinstance(node, ast.Call) and _callee(node) == "sqrt" and len(node.args) == 1):
+            continue
+        arg = node.args[0]
+        if isinstance(arg, ast.Call) and _callee(arg) in ("max", "maximum") and len(arg.args) == 2:
+            arg = arg.args[1]
+        if (
+            isinstance(arg, ast.BinOp)
+            and isinstance(arg.op, ast.Sub)
+            and isinstance(arg.left, ast.Constant)
+            and arg.left.value == 1
+            and _is_square(arg.right)
+        ):
+            yield node.lineno
+
+
+def test_complement_is_spelled_once_in_complexpoly():
+    # complexpoly.complement is the one sqrt(1 - v^2) of the package: every gamma, x, s and
+    # floor is taken from it.  The closed form's sqrt(fmax(0.0, 1 - ratio^2)) passes, as its
+    # fmax turns a cosh overflow's NaN into 0 and goes with that overflow (ROADMAP item 13).
+    # The scan must find complement's own spelling, or it would pass on any source
+    sites = [
+        (path.name, line)
+        for path in sorted(SRC.glob("*.py"))
+        for line in _complement_spellings(ast.parse(path.read_text(), filename=str(path)))
+    ]
+    assert [name for name, _ in sites] == ["complexpoly.py"], f"sqrt(1 - v^2) spelled at {sites}"

@@ -126,6 +126,8 @@ def test_result_takes_worst_deviation_floored_at_zero(devs, expected):
 def _nan_copy(value):
     if isinstance(value, Iterator):
         return map(_nan_copy, value)
+    if isinstance(value, tuple):
+        return tuple(map(_nan_copy, value))
     if isinstance(value, sim2d.TwoDimState):
         return sim2d.TwoDimState(r_amp=value.r_amp * np.nan, t_amp=value.t_amp * np.nan)
     return np.full_like(value, np.nan)
